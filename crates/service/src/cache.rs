@@ -1,4 +1,4 @@
-//! Fingerprint-keyed LRU plan cache.
+//! Fingerprint-keyed plan cache.
 //!
 //! Planning is the per-request fixed cost the serving layer exists to
 //! amortize: for the structural methods it is pure query analysis
@@ -20,32 +20,22 @@
 //! an `Arc<Plan>` shared with however many requests are concurrently
 //! executing it.
 //!
-//! The fingerprint is a 1-WL refinement invariant, so non-isomorphic
-//! queries *can* share a key (see `ppr_query::fingerprint`). Every entry
-//! therefore also stores the [`QueryShape`] of the query that built it,
-//! and a lookup only hits when the incoming query's shape matches; a
-//! mismatch counts as a miss (plus a `collisions` counter) and the fresh
-//! plan displaces the colliding entry. Collisions cost a re-plan, never
-//! a wrong answer.
-//!
-//! Eviction is strict LRU over an intrusive doubly-linked list threaded
-//! through a slab, so `get`/`insert` are O(1) and the cache never scans.
-//! Hit/miss/eviction counters are atomics read by the `stats` wire
-//! command.
+//! The result cache ([`crate::result_cache`]) uses the same key. Hit,
+//! collision, race and eviction rules are those of [`Lru`]; every plan
+//! weighs 1, so the capacity counts plans.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use ppr_core::methods::Method;
-use ppr_query::{Fingerprint, QueryShape};
+use ppr_query::Fingerprint;
 use ppr_relalg::Plan;
-use rustc_hash::FxHashMap;
 
 use crate::catalog::DbFingerprint;
+use crate::lru::Lru;
 
-/// Cache key: data identity (database content hash) × canonical query
-/// identity × planning method × planner seed.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Plan- and result-cache key: data identity (database content hash) ×
+/// canonical query identity × planning method × planner seed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     /// Content fingerprint of the database the plan's scans are bound to.
     pub data: DbFingerprint,
@@ -57,369 +47,6 @@ pub struct CacheKey {
     pub seed: u64,
 }
 
-const NIL: usize = usize::MAX;
-
-struct Node {
-    key: CacheKey,
-    shape: QueryShape,
-    plan: Arc<Plan>,
-    prev: usize,
-    next: usize,
-}
-
-struct Inner {
-    map: FxHashMap<CacheKey, usize>,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-}
-
-impl Inner {
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-}
-
-/// Counter snapshot (plus occupancy) of a [`PlanCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CacheStats {
-    /// Lookups that found a cached plan.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Lookups whose key matched but whose [`QueryShape`] did not — a
-    /// fingerprint collision between structurally different queries. Each
-    /// is also counted as a miss.
-    pub collisions: u64,
-    /// Entries currently cached.
-    pub len: usize,
-    /// Maximum entries.
-    pub capacity: usize,
-}
-
-impl CacheStats {
-    /// Hit fraction over all lookups (0 when none happened).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-/// Thread-safe LRU cache from [`CacheKey`] to compiled plans.
-pub struct PlanCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    collisions: AtomicU64,
-}
-
-impl PlanCache {
-    /// A cache holding at most `capacity` plans (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        PlanCache {
-            inner: Mutex::new(Inner {
-                map: FxHashMap::default(),
-                nodes: Vec::new(),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-            }),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up `key`, counting a hit (and refreshing recency) or a miss.
-    /// A key match whose stored [`QueryShape`] differs from `shape` is a
-    /// fingerprint collision between structurally different queries: it is
-    /// counted as a miss (plus `collisions`) and returns `None`, so the
-    /// caller re-plans instead of running the wrong query's plan.
-    pub fn get(&self, key: &CacheKey, shape: &QueryShape) -> Option<Arc<Plan>> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        match inner.map.get(key).copied() {
-            Some(i) if inner.nodes[i].shape == *shape => {
-                inner.unlink(i);
-                inner.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.nodes[i].plan.clone())
-            }
-            Some(_) => {
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `plan` under `key`, evicting the least-recently-used entry
-    /// at capacity. If a racing request inserted the key first *for the
-    /// same shape*, the existing plan wins (and is returned), so all
-    /// concurrent requests for one query execute the same plan; a
-    /// different shape (fingerprint collision) displaces the entry so the
-    /// cache never serves a structurally different query's plan.
-    pub fn insert(&self, key: CacheKey, shape: QueryShape, plan: Arc<Plan>) -> Arc<Plan> {
-        let mut inner = self.inner.lock().expect("cache lock");
-        if let Some(&i) = inner.map.get(&key) {
-            if inner.nodes[i].shape != shape {
-                inner.nodes[i].shape = shape;
-                inner.nodes[i].plan = plan.clone();
-            }
-            inner.unlink(i);
-            inner.push_front(i);
-            return inner.nodes[i].plan.clone();
-        }
-        if inner.map.len() >= self.capacity {
-            let lru = inner.tail;
-            inner.unlink(lru);
-            let old_key = inner.nodes[lru].key.clone();
-            inner.map.remove(&old_key);
-            inner.free.push(lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let node = Node {
-            key: key.clone(),
-            shape,
-            plan: plan.clone(),
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match inner.free.pop() {
-            Some(i) => {
-                inner.nodes[i] = node;
-                i
-            }
-            None => {
-                inner.nodes.push(node);
-                inner.nodes.len() - 1
-            }
-        };
-        inner.push_front(i);
-        inner.map.insert(key, i);
-        plan
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            len: self.inner.lock().expect("cache lock").map.len(),
-            capacity: self.capacity,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ppr_query::parse_query;
-    use ppr_relalg::{AttrId, Relation, Schema};
-
-    fn key(n: u128) -> CacheKey {
-        keyed(n, Method::Straightforward, 0)
-    }
-
-    fn keyed(n: u128, method: Method, seed: u64) -> CacheKey {
-        CacheKey {
-            data: DbFingerprint(1),
-            fingerprint: Fingerprint(n),
-            method,
-            seed,
-        }
-    }
-
-    fn shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y)").unwrap())
-    }
-
-    fn other_shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y), e(y, z)").unwrap())
-    }
-
-    fn plan(tag: u32) -> Arc<Plan> {
-        let rel = Relation::empty(format!("r{tag}"), Schema::new(vec![AttrId(tag)]));
-        Arc::new(Plan::scan(rel.into_shared(), vec![AttrId(tag)]))
-    }
-
-    fn scan_name(p: &Plan) -> &str {
-        match p {
-            Plan::Scan { base, .. } => base.name(),
-            _ => unreachable!(),
-        }
-    }
-
-    #[test]
-    fn hit_miss_counters() {
-        let c = PlanCache::new(4);
-        assert!(c.get(&key(1), &shape()).is_none());
-        c.insert(key(1), shape(), plan(1));
-        assert!(c.get(&key(1), &shape()).is_some());
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.evictions, s.len), (1, 1, 0, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn method_is_part_of_the_key() {
-        let c = PlanCache::new(4);
-        c.insert(keyed(7, Method::Straightforward, 0), shape(), plan(1));
-        assert!(c
-            .get(&keyed(7, Method::EarlyProjection, 0), &shape())
-            .is_none());
-        assert!(c
-            .get(&keyed(7, Method::Straightforward, 0), &shape())
-            .is_some());
-    }
-
-    #[test]
-    fn seed_is_part_of_the_key() {
-        // The seed breaks planner ties, so plans built under different
-        // seeds may differ and must not share an entry.
-        let c = PlanCache::new(4);
-        c.insert(keyed(7, Method::Straightforward, 0), shape(), plan(1));
-        assert!(c
-            .get(&keyed(7, Method::Straightforward, 1), &shape())
-            .is_none());
-        assert!(c
-            .get(&keyed(7, Method::Straightforward, 0), &shape())
-            .is_some());
-    }
-
-    #[test]
-    fn data_fingerprint_is_part_of_the_key() {
-        // Plans embed `Arc<Relation>` scans, so a plan is only valid for
-        // databases whose content matches the one it was built against.
-        let c = PlanCache::new(4);
-        c.insert(key(7), shape(), plan(1));
-        let mut changed = key(7);
-        changed.data = DbFingerprint(2);
-        assert!(
-            c.get(&changed, &shape()).is_none(),
-            "a content change must re-plan"
-        );
-        assert!(c.get(&key(7), &shape()).is_some());
-    }
-
-    #[test]
-    fn shape_mismatch_is_a_collision_not_a_hit() {
-        // Two structurally different queries sharing a fingerprint (forced
-        // here by reusing the key) must never share a plan.
-        let c = PlanCache::new(4);
-        c.insert(key(1), shape(), plan(10));
-        assert!(c.get(&key(1), &other_shape()).is_none());
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.collisions), (0, 1, 1));
-        // Inserting the colliding query's plan displaces the entry…
-        let got = c.insert(key(1), other_shape(), plan(20));
-        assert_eq!(scan_name(&got), "r20");
-        assert_eq!(c.stats().len, 1);
-        // …so the new shape now hits and the old one misses.
-        assert!(c.get(&key(1), &other_shape()).is_some());
-        assert!(c.get(&key(1), &shape()).is_none());
-    }
-
-    #[test]
-    fn evicts_least_recently_used() {
-        let c = PlanCache::new(2);
-        c.insert(key(1), shape(), plan(1));
-        c.insert(key(2), shape(), plan(2));
-        assert!(c.get(&key(1), &shape()).is_some()); // 2 is now LRU
-        c.insert(key(3), shape(), plan(3));
-        assert!(
-            c.get(&key(2), &shape()).is_none(),
-            "LRU entry should be evicted"
-        );
-        assert!(c.get(&key(1), &shape()).is_some());
-        assert!(c.get(&key(3), &shape()).is_some());
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.stats().len, 2);
-    }
-
-    #[test]
-    fn insert_race_keeps_first_plan() {
-        let c = PlanCache::new(4);
-        let first = c.insert(key(1), shape(), plan(10));
-        let second = c.insert(key(1), shape(), plan(20));
-        assert_eq!(scan_name(&first), "r10");
-        assert_eq!(scan_name(&second), "r10", "existing entry must win");
-        assert_eq!(c.stats().len, 1);
-    }
-
-    #[test]
-    fn eviction_slot_reuse_is_sound() {
-        let c = PlanCache::new(2);
-        for i in 0..100u128 {
-            c.insert(key(i), shape(), plan(i as u32));
-        }
-        let s = c.stats();
-        assert_eq!(s.len, 2);
-        assert_eq!(s.evictions, 98);
-        assert!(c.get(&key(99), &shape()).is_some());
-        assert!(c.get(&key(98), &shape()).is_some());
-        assert!(c.get(&key(0), &shape()).is_none());
-    }
-
-    #[test]
-    fn concurrent_access_is_consistent() {
-        let c = Arc::new(PlanCache::new(8));
-        let mut handles = Vec::new();
-        for t in 0..4u128 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..200u128 {
-                    let k = key((t * 4 + i) % 16);
-                    if c.get(&k, &shape()).is_none() {
-                        c.insert(k, shape(), plan(i as u32));
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        let s = c.stats();
-        assert_eq!(s.len, 8);
-        assert_eq!(s.hits + s.misses, 800, "every lookup is counted once");
-    }
-}
+/// Thread-safe LRU from [`CacheKey`] to compiled plans, one weight unit
+/// per plan.
+pub type PlanCache = Lru<CacheKey, Arc<Plan>>;

@@ -1,4 +1,4 @@
-//! Structure-keyed LRU cache of chosen variable orders.
+//! Structure-keyed cache of chosen variable orders.
 //!
 //! Bucket elimination's expensive planning step is *decomposition*:
 //! choosing the variable elimination order (MCS, min-degree, or min-fill
@@ -27,23 +27,19 @@
 //! under *any* total order, so collisions and tie-flips cost optimality,
 //! never soundness.
 //!
-//! Like the plan cache, the WL fingerprint is a 1-WL invariant, so every
-//! entry also stores the [`QueryShape`] that built it and a lookup only
-//! hits on a shape match (a mismatch counts as `collisions`). Eviction is
-//! strict LRU over the same intrusive slab-list as the plan cache.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+//! Shape check, races and eviction are those of the [`Lru`] shared with
+//! the plan and result caches; every order weighs 1.
 
 use ppr_core::methods::OrderHeuristic;
-use ppr_query::{Fingerprint, QueryShape};
+use ppr_query::Fingerprint;
 use ppr_relalg::AttrId;
-use rustc_hash::FxHashMap;
+
+use crate::lru::Lru;
 
 /// Cache key: canonical query structure × decomposition heuristic ×
 /// planner seed. No database identity — the order is pure query
 /// structure and survives catalog mutations.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecompKey {
     /// Canonical query fingerprint.
     pub fingerprint: Fingerprint,
@@ -95,202 +91,14 @@ pub fn decode_order(ranks: &[u32], canonical: &[AttrId]) -> Option<Vec<AttrId>> 
     Some(order)
 }
 
-const NIL: usize = usize::MAX;
-
-struct Node {
-    key: DecompKey,
-    shape: QueryShape,
-    ranks: Vec<u32>,
-    prev: usize,
-    next: usize,
-}
-
-struct Inner {
-    map: FxHashMap<DecompKey, usize>,
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize, // most recently used
-    tail: usize, // least recently used
-}
-
-impl Inner {
-    fn unlink(&mut self, i: usize) {
-        let (prev, next) = (self.nodes[i].prev, self.nodes[i].next);
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.nodes[prev].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.nodes[next].prev = prev;
-        }
-    }
-
-    fn push_front(&mut self, i: usize) {
-        self.nodes[i].prev = NIL;
-        self.nodes[i].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-}
-
-/// Counter snapshot (plus occupancy) of a [`DecompCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DecompStats {
-    /// Lookups that found a cached order.
-    pub hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries displaced by capacity pressure.
-    pub evictions: u64,
-    /// Key matches whose [`QueryShape`] differed (1-WL collision); each
-    /// also counts as a miss.
-    pub collisions: u64,
-    /// Entries currently cached.
-    pub len: usize,
-    /// Maximum entries.
-    pub capacity: usize,
-}
-
-/// Thread-safe LRU cache from [`DecompKey`] to rank-encoded variable
-/// orders.
-pub struct DecompCache {
-    inner: Mutex<Inner>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    collisions: AtomicU64,
-}
-
-impl DecompCache {
-    /// A cache holding at most `capacity` orders (at least 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        DecompCache {
-            inner: Mutex::new(Inner {
-                map: FxHashMap::default(),
-                nodes: Vec::new(),
-                free: Vec::new(),
-                head: NIL,
-                tail: NIL,
-            }),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            collisions: AtomicU64::new(0),
-        }
-    }
-
-    /// Looks up `key`, counting a hit (and refreshing recency) or a
-    /// miss. A key match with a different [`QueryShape`] is a fingerprint
-    /// collision: counted as a miss plus `collisions`, returns `None`.
-    pub fn get(&self, key: &DecompKey, shape: &QueryShape) -> Option<Vec<u32>> {
-        let mut inner = self.inner.lock().expect("decomp cache lock");
-        match inner.map.get(key).copied() {
-            Some(i) if inner.nodes[i].shape == *shape => {
-                inner.unlink(i);
-                inner.push_front(i);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(inner.nodes[i].ranks.clone())
-            }
-            Some(_) => {
-                self.collisions.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
-    /// Inserts `ranks` under `key`, evicting the LRU entry at capacity.
-    /// An existing same-shape entry wins (orders built under one key are
-    /// interchangeable); a different shape displaces the entry so a
-    /// colliding query never decodes the wrong structure's order.
-    pub fn insert(&self, key: DecompKey, shape: QueryShape, ranks: Vec<u32>) {
-        let mut inner = self.inner.lock().expect("decomp cache lock");
-        if let Some(&i) = inner.map.get(&key) {
-            if inner.nodes[i].shape != shape {
-                inner.nodes[i].shape = shape;
-                inner.nodes[i].ranks = ranks;
-            }
-            inner.unlink(i);
-            inner.push_front(i);
-            return;
-        }
-        if inner.map.len() >= self.capacity {
-            let lru = inner.tail;
-            inner.unlink(lru);
-            let old_key = inner.nodes[lru].key.clone();
-            inner.map.remove(&old_key);
-            inner.free.push(lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        let node = Node {
-            key: key.clone(),
-            shape,
-            ranks,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match inner.free.pop() {
-            Some(i) => {
-                inner.nodes[i] = node;
-                i
-            }
-            None => {
-                inner.nodes.push(node);
-                inner.nodes.len() - 1
-            }
-        };
-        inner.push_front(i);
-        inner.map.insert(key, i);
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> DecompStats {
-        DecompStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            collisions: self.collisions.load(Ordering::Relaxed),
-            len: self.inner.lock().expect("decomp cache lock").map.len(),
-            capacity: self.capacity,
-        }
-    }
-}
+/// Thread-safe LRU from [`DecompKey`] to rank-encoded variable orders,
+/// one weight unit per order.
+pub type DecompCache = Lru<DecompKey, Vec<u32>>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ppr_query::{canonical_var_order, parse_query};
-
-    fn key(n: u128) -> DecompKey {
-        DecompKey {
-            fingerprint: Fingerprint(n),
-            heuristic: OrderHeuristic::Mcs,
-            seed: 0,
-        }
-    }
-
-    fn shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y)").unwrap())
-    }
-
-    fn other_shape() -> QueryShape {
-        QueryShape::of(&parse_query("q(x) :- e(x, y), e(y, z)").unwrap())
-    }
 
     #[test]
     fn rank_round_trip_is_identity_on_the_same_query() {
@@ -339,36 +147,5 @@ mod tests {
         assert!(decode_order(&[0, 1, 7], &canonical).is_none());
         assert!(decode_order(&[0, 1, 1], &canonical).is_none());
         assert!(decode_order(&[0, 1], &canonical).is_none());
-    }
-
-    #[test]
-    fn hit_miss_collision_and_eviction_counters() {
-        let c = DecompCache::new(2);
-        assert!(c.get(&key(1), &shape()).is_none());
-        c.insert(key(1), shape(), vec![0, 1]);
-        assert_eq!(c.get(&key(1), &shape()), Some(vec![0, 1]));
-        // Shape mismatch on a key match is a collision, not a hit.
-        assert!(c.get(&key(1), &other_shape()).is_none());
-        // Fill past capacity: key(1) was refreshed, key(2) is LRU.
-        c.insert(key(2), shape(), vec![1, 0]);
-        assert!(c.get(&key(1), &shape()).is_some());
-        c.insert(key(3), shape(), vec![0, 1]);
-        assert!(c.get(&key(2), &shape()).is_none(), "LRU entry evicted");
-        let s = c.stats();
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.collisions, 1);
-        assert_eq!(s.evictions, 1);
-        assert_eq!(s.len, 2);
-        assert_eq!(s.capacity, 2);
-    }
-
-    #[test]
-    fn colliding_shape_displaces_the_entry() {
-        let c = DecompCache::new(4);
-        c.insert(key(1), shape(), vec![0, 1]);
-        c.insert(key(1), other_shape(), vec![1, 0]);
-        assert_eq!(c.get(&key(1), &other_shape()), Some(vec![1, 0]));
-        assert!(c.get(&key(1), &shape()).is_none());
-        assert_eq!(c.stats().len, 1);
     }
 }

@@ -48,12 +48,13 @@ use ppr_relalg::{exec, parallel, streaming_shape, Budget, ExecStats, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::cache::{CacheKey, CacheStats, PlanCache};
+use crate::cache::{CacheKey, PlanCache};
 use crate::catalog::{Catalog, DbSnapshot, DEFAULT_DB};
-use crate::decomp::{self, DecompCache, DecompKey, DecompStats};
+use crate::decomp::{self, DecompCache, DecompKey};
+use crate::lru::LruStats;
 use crate::metrics::ServiceMetrics;
 use crate::queue::{BoundedQueue, PushError};
-use crate::result_cache::{CachedResult, ResultCache, ResultCacheStats, ResultKey};
+use crate::result_cache::{CachedResult, ResultCache};
 use crate::ServiceError;
 
 /// Completion callback for an asynchronously submitted request. Invoked
@@ -335,9 +336,9 @@ pub struct EngineStats {
     /// Requests currently queued or executing.
     pub inflight: usize,
     /// Plan-cache counters.
-    pub cache: CacheStats,
+    pub cache: LruStats,
     /// Result-cache counters.
-    pub results: ResultCacheStats,
+    pub results: LruStats,
     /// Secondary-index lookups performed by the streaming executor
     /// across all served requests.
     pub index_probes: u64,
@@ -351,7 +352,7 @@ pub struct EngineStats {
     /// [`DecompCache`] supplied the variable order as a pass hint.
     pub decomp_cache_hits: u64,
     /// Decomposition-cache counters.
-    pub decomps: DecompStats,
+    pub decomps: LruStats,
     /// Per-phase latency quantiles from the shared histograms.
     pub spans: SpanStats,
 }
@@ -636,7 +637,7 @@ impl EngineHandle {
             "ppr_result_cache_bytes",
             "gauge",
             "Bytes held by the result cache",
-            results.bytes as u64,
+            results.weight as u64,
         );
         // Durable catalogs append the store's own exposition (WAL appends,
         // fsync latency, snapshot writes, recovery gauges).
@@ -667,8 +668,8 @@ impl Engine {
         };
         let shared = Arc::new(Shared {
             catalog: Arc::new(catalog),
-            cache: PlanCache::new(cfg.cache_capacity),
-            decomps: DecompCache::new(cfg.cache_capacity),
+            cache: PlanCache::new(cfg.cache_capacity.max(1)),
+            decomps: DecompCache::new(cfg.cache_capacity.max(1)),
             results: ResultCache::new(cfg.result_cache_bytes),
             queue: BoundedQueue::new(cfg.queue_capacity.max(1)),
             accepting: AtomicBool::new(true),
@@ -948,8 +949,8 @@ fn process(
 
     // Result cache first: a hit is rows with zero execution. The budget
     // is deliberately not part of the key — budgets bound execution work,
-    // and a hit does none.
-    let result_key = ResultKey {
+    // and a hit does none. The plan cache below shares the key.
+    let key = CacheKey {
         data: snapshot.fingerprint,
         fingerprint: identity.fingerprint,
         method: request.method,
@@ -959,7 +960,7 @@ fn process(
     let cached = if explaining {
         None
     } else {
-        shared.results.get(&result_key, &identity.shape)
+        shared.results.get(&key, &identity.shape)
     };
     let mut lookup_us = started.elapsed().as_micros() as u64;
     spans.set(Phase::CacheLookup, lookup_us);
@@ -976,17 +977,11 @@ fn process(
         });
     }
 
-    let plan_key = CacheKey {
-        data: snapshot.fingerprint,
-        fingerprint: identity.fingerprint,
-        method: request.method,
-        seed,
-    };
     let started = Instant::now();
     let cached_plan = if explaining {
         None
     } else {
-        shared.cache.get(&plan_key, &identity.shape)
+        shared.cache.get(&key, &identity.shape)
     };
     lookup_us += started.elapsed().as_micros() as u64;
     spans.set(Phase::CacheLookup, lookup_us);
@@ -1014,9 +1009,9 @@ fn process(
                 .is_some()
                 .then(|| ppr_query::canonical_var_order(&query));
             let hint = match (&decomp_key, &canonical) {
-                (Some(key), Some(canonical)) => shared
+                (Some(dkey), Some(canonical)) => shared
                     .decomps
-                    .get(key, &identity.shape)
+                    .get(dkey, &identity.shape)
                     .and_then(|ranks| decomp::decode_order(&ranks, canonical)),
                 _ => None,
             };
@@ -1028,11 +1023,13 @@ fn process(
             }
             if report.used_hint {
                 shared.obs.decomp_hits.inc();
-            } else if let (Some(key), Some(canonical), Some(order)) =
+            } else if let (Some(dkey), Some(canonical), Some(order)) =
                 (decomp_key, &canonical, &report.chosen_order)
             {
                 if let Some(ranks) = decomp::encode_order(order, canonical) {
-                    shared.decomps.insert(key, identity.shape.clone(), ranks);
+                    shared
+                        .decomps
+                        .insert(dkey, identity.shape.clone(), ranks, 1);
                 }
             }
             let built = Arc::new(report.plan);
@@ -1043,7 +1040,7 @@ fn process(
             let plan = if explaining {
                 built
             } else {
-                shared.cache.insert(plan_key, identity.shape.clone(), built)
+                shared.cache.insert(key, identity.shape.clone(), built, 1)
             };
             (plan, false, micros, report.pass_spans)
         }
@@ -1115,15 +1112,13 @@ fn process(
     let columns: Vec<String> = query.free.iter().map(|&f| query.vars.name(f)).collect();
     let rows = rel.tuples().to_vec();
     if !explaining {
-        shared.results.insert(
-            result_key,
-            identity.shape,
-            Arc::new(CachedResult {
-                columns: columns.clone(),
-                rows: rows.clone(),
-                stats: stats.clone(),
-            }),
-        );
+        let result = Arc::new(CachedResult {
+            columns: columns.clone(),
+            rows: rows.clone(),
+            stats: stats.clone(),
+        });
+        let bytes = result.approx_bytes();
+        shared.results.insert(key, identity.shape, result, bytes);
     }
     let explain = analyze.then(|| {
         Box::new(ExplainData {

@@ -13,25 +13,24 @@
 //!   copy-on-write `Arc`s: in-flight requests keep a consistent view
 //!   while writers publish new versions beside them — writers never block
 //!   readers.
-//! * [`result_cache::ResultCache`] — a byte-budgeted LRU from
-//!   (database, version, [`ppr_query::Fingerprint`], method, seed) to
-//!   complete result sets. Because the database version is in the key, a
-//!   catalog mutation naturally invalidates every older entry; no
-//!   explicit invalidation protocol exists or is needed.
-//! * [`cache::PlanCache`] — an LRU cache over the same key shape to
-//!   compiled [`ppr_relalg::Plan`]s with hit/miss/eviction counters. The
-//!   fingerprint is canonical under variable renaming and atom
-//!   reordering, so syntactic variants of a hot query share one cached
-//!   plan; every hit (in both caches) re-verifies a cheap
-//!   [`ppr_query::QueryShape`] so a fingerprint collision between
-//!   structurally different queries costs a re-plan, never a wrong
-//!   answer.
-//! * [`decomp::DecompCache`] — a structure-keyed LRU of bucket
-//!   elimination's chosen variable orders, keyed **without** the database
-//!   identity: a catalog mutation forces a re-plan, but a structurally
-//!   repeated query skips re-decomposition because the optimizer pipeline
-//!   ([`ppr_core::passes`], docs/PLANNING.md) consumes the cached order
-//!   as a pass hint.
+//! * [`lru::Lru`] — one thread-safe, weight-budgeted LRU with three
+//!   instances. Every entry stores the [`ppr_query::QueryShape`] of the
+//!   query that built it and is re-verified on each hit, so a collision
+//!   of the 1-WL [`ppr_query::Fingerprint`] costs a recomputation, never
+//!   a wrong answer.
+//!   - [`result_cache::ResultCache`]: complete result sets, byte-budgeted,
+//!     keyed by [`cache::CacheKey`] (database content fingerprint × query
+//!     fingerprint × method × seed). A content-changing mutation changes
+//!     the key, so no explicit invalidation exists or is needed.
+//!   - [`cache::PlanCache`]: compiled [`ppr_relalg::Plan`]s under the same
+//!     key. The fingerprint is canonical under variable renaming and atom
+//!     reordering, so syntactic variants of a hot query share one plan.
+//!   - [`decomp::DecompCache`]: bucket elimination's chosen variable
+//!     orders, keyed **without** the database identity: a mutation forces
+//!     a re-plan, but a structurally repeated query skips
+//!     re-decomposition because the optimizer pipeline
+//!     ([`ppr_core::passes`], docs/PLANNING.md) consumes the cached order
+//!     as a pass hint.
 //! * [`engine::Engine`] — a worker pool executing requests over the
 //!   serial or partitioned-parallel executor, with per-request tuple/time
 //!   budgets clamped by a server-side maximum, **admission control**
@@ -63,6 +62,7 @@ pub mod catalog;
 pub mod client;
 pub mod decomp;
 pub mod engine;
+pub mod lru;
 pub mod metrics;
 pub mod net;
 pub mod protocol;
@@ -70,19 +70,20 @@ mod queue;
 pub mod result_cache;
 pub mod server;
 
-pub use cache::{CacheStats, PlanCache};
+pub use cache::PlanCache;
 pub use catalog::{
     fingerprint_db, Catalog, CatalogError, DbFingerprint, DbInfo, DbSnapshot, DbVersion, DEFAULT_DB,
 };
 pub use client::{Client, Pipeline, Ticket};
-pub use decomp::{DecompCache, DecompKey, DecompStats};
+pub use decomp::{DecompCache, DecompKey};
 pub use engine::{
     Engine, EngineConfig, EngineHandle, EngineStats, ExplainData, ExplainMode, Request, Response,
     SpanStats,
 };
+pub use lru::{Lru, LruStats};
 pub use metrics::{render_slowlog, ServiceMetrics, DEFAULT_SLOWLOG_CAPACITY};
 pub use net::{CloseReason, NetMetrics};
-pub use result_cache::{ResultCache, ResultCacheStats};
+pub use result_cache::ResultCache;
 pub use server::{ConnectionModel, Server, ServerBuilder, ServerConfig};
 
 use ppr_relalg::RelalgError;

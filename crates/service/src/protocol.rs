@@ -801,8 +801,8 @@ pub fn encode_stats(s: &EngineStats) -> String {
         s.results.collisions,
         s.results.oversized,
         s.results.len,
-        s.results.bytes,
-        s.results.capacity_bytes,
+        s.results.weight,
+        s.results.capacity,
     );
     line.push_str(&format!(
         " ix_probes={} ix_builds={}",
@@ -862,8 +862,8 @@ pub fn decode_stats(line: &str) -> Result<EngineStats, ServiceError> {
             "r_collisions" => s.results.collisions = parse_num(k, v)?,
             "r_oversized" => s.results.oversized = parse_num(k, v)?,
             "r_len" => s.results.len = parse_num(k, v)?,
-            "r_bytes" => s.results.bytes = parse_num(k, v)?,
-            "r_cap" => s.results.capacity_bytes = parse_num(k, v)?,
+            "r_bytes" => s.results.weight = parse_num(k, v)?,
+            "r_cap" => s.results.capacity = parse_num(k, v)?,
             "ix_probes" => s.index_probes = parse_num(k, v)?,
             "ix_builds" => s.index_builds = parse_num(k, v)?,
             "passes" => s.passes_run = parse_num(k, v)?,
@@ -1385,7 +1385,7 @@ pub fn decode_dbs(line: &str) -> Result<Vec<DbInfo>, ServiceError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheStats;
+    use crate::lru::LruStats;
 
     fn sample_request() -> Request {
         Request::query("q(x) :- edge(x, y), edge(y, x)")
@@ -1592,13 +1592,13 @@ mod tests {
             served: 10,
             rejected: 2,
             inflight: 1,
-            cache: CacheStats {
+            cache: LruStats {
                 hits: 7,
                 misses: 3,
                 evictions: 1,
                 collisions: 1,
                 len: 2,
-                capacity: 0, // not on the wire
+                ..Default::default() // weight, capacity: not on the wire
             },
             ..Default::default()
         };
@@ -1608,8 +1608,8 @@ mod tests {
         s.results.collisions = 1;
         s.results.oversized = 1;
         s.results.len = 3;
-        s.results.bytes = 4096;
-        s.results.capacity_bytes = 8 << 20;
+        s.results.weight = 4096;
+        s.results.capacity = 8 << 20;
         s.index_probes = 31;
         s.index_builds = 4;
         s.passes_run = 12;

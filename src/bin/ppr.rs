@@ -509,8 +509,8 @@ fn cmd_client(flags: &Flags) {
             s.results.hit_rate() * 100.0,
             s.results.evictions,
             s.results.len,
-            s.results.bytes,
-            s.results.capacity_bytes
+            s.results.weight,
+            s.results.capacity
         );
         println!(
             "planner: {} passes run, {} decomp-cache plan hits ({} hits / {} misses, \

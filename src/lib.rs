@@ -34,7 +34,7 @@
 //! ```
 //!
 //! For long-lived query serving — a multi-database [`service::Catalog`]
-//! with versioned result caching, a fingerprint-keyed plan cache,
+//! with content-keyed result caching, a fingerprint-keyed plan cache,
 //! admission control, and a TCP line protocol (`ppr serve` / `ppr
 //! client`) — see the [`service`] crate.
 
@@ -57,9 +57,7 @@ pub use ppr_core::methods::{Method, OrderHeuristic};
 use ppr_query::{ConjunctiveQuery, Database};
 use ppr_relalg::{exec, Budget, ExecStats, Relation};
 
-/// Everything a typical user needs. The deprecated free-function
-/// `evaluate*` trio is intentionally **not** here — reach it through the
-/// crate root while migrating to [`Eval`].
+/// Everything a typical user needs.
 pub mod prelude {
     pub use crate::{graph, Eval, Method, OrderHeuristic};
     pub use ppr_core::methods::{build_plan, emit_sql};
@@ -165,65 +163,6 @@ impl<'a> Eval<'a> {
     }
 }
 
-/// Evaluates `query` over `db` with `method` under `budget`. Returns the
-/// result relation and execution statistics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Eval::new(query, db).method(m).seed(s).budget(b).run()`"
-)]
-pub fn evaluate(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    method: Method,
-    budget: &Budget,
-    seed: u64,
-) -> ppr_relalg::Result<(Relation, ExecStats)> {
-    Eval::new(query, db)
-        .method(method)
-        .budget(budget.clone())
-        .seed(seed)
-        .run()
-}
-
-/// [`Eval`] on the partitioned parallel executor with `threads` worker
-/// threads (`0` = all cores, `1` = one worker). The result relation is
-/// byte-identical to the serial executor's; only wall-clock time and the
-/// thread-related [`ExecStats`] fields differ.
-#[deprecated(since = "0.2.0", note = "use `Eval::new(query, db).threads(n).run()`")]
-pub fn evaluate_parallel(
-    query: &ConjunctiveQuery,
-    db: &Database,
-    method: Method,
-    budget: &Budget,
-    seed: u64,
-    threads: usize,
-) -> ppr_relalg::Result<(Relation, ExecStats)> {
-    // `threads == 1` historically still meant the parallel executor with
-    // one worker (rows are byte-identical to serial either way), so this
-    // wrapper keeps calling it directly rather than routing through the
-    // builder's serial shortcut.
-    let mut rng = StdRng::seed_from_u64(seed);
-    let plan = build_plan(method, query, db, &mut rng);
-    ppr_relalg::parallel::execute_parallel(&plan, budget, threads)
-}
-
-/// Decides 3-colorability of `graph` by evaluating the paper's Boolean
-/// project-join query with `method`. `Ok(true)` means colorable.
-#[deprecated(
-    since = "0.2.0",
-    note = "build the query with `workload::color_query` and use `Eval::new(&q, &db).method(m).seed(s).nonempty()`"
-)]
-pub fn evaluate_3color(
-    graph: &ppr_graph::Graph,
-    method: Method,
-    seed: u64,
-) -> ppr_relalg::Result<bool> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (q, db) =
-        ppr_workload::color_query(graph, &ppr_workload::ColorQueryOptions::boolean(), &mut rng);
-    Eval::new(&q, &db).method(method).seed(seed).nonempty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,22 +221,5 @@ mod tests {
 
         let starved = Eval::new(&q, &db).budget(Budget::tuples(1)).run();
         assert!(starved.is_err(), "budget exhaustion must be an error");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_agree_with_the_builder() {
-        let c5 = graph::families::cycle(5);
-        let method = Method::BucketElimination(OrderHeuristic::Mcs);
-        assert!(evaluate_3color(&c5, method, 1).unwrap());
-
-        let mut rng = StdRng::seed_from_u64(1);
-        let (q, db) =
-            ppr_workload::color_query(&c5, &ppr_workload::ColorQueryOptions::boolean(), &mut rng);
-        let (old, _) = evaluate(&q, &db, method, &Budget::unlimited(), 1).unwrap();
-        let (new, _) = Eval::new(&q, &db).method(method).seed(1).run().unwrap();
-        assert_eq!(old.tuples(), new.tuples());
-        let (par, _) = evaluate_parallel(&q, &db, method, &Budget::unlimited(), 1, 2).unwrap();
-        assert_eq!(old.tuples(), par.tuples());
     }
 }
