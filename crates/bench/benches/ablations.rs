@@ -197,36 +197,6 @@ fn ablation_join_algorithm(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs partitioned-parallel execution of the same straightforward
-/// plan on the figure-8 augmented-ladder workload (the acceptance
-/// workload for the parallel executor: one large top-level join pipeline,
-/// which the executor probes in work-stealing chunks).
-fn ablation_parallel(c: &mut Criterion) {
-    use ppr_relalg::parallel::execute_parallel;
-    let mut group = c.benchmark_group("ablation_parallel");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2));
-    let budget = Budget::tuples(200_000_000);
-    let (q, db) = InstanceSpec {
-        shape: QueryShape::AugmentedLadder { order: 6 },
-        seed: 11,
-        free_fraction: 0.0,
-    }
-    .build();
-    let mut rng = StdRng::seed_from_u64(7);
-    let plan = build_plan(Method::Straightforward, &q, &db, &mut rng);
-    group.bench_function("serial", |b| {
-        b.iter(|| exec::execute(&plan, &budget).expect("ok"))
-    });
-    for threads in [2usize, 4] {
-        group.bench_with_input(BenchmarkId::new("par", threads), &threads, |b, &threads| {
-            b.iter(|| execute_parallel(&plan, &budget, threads).expect("ok"))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     ablations,
     ablation_orders,
@@ -234,7 +204,6 @@ criterion_group!(
     ablation_minibucket,
     ablation_greedy,
     ablation_distinct,
-    ablation_join_algorithm,
-    ablation_parallel
+    ablation_join_algorithm
 );
 criterion_main!(ablations);

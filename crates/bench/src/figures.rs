@@ -13,7 +13,7 @@ use ppr_query::{ConjunctiveQuery, Database};
 use ppr_relalg::Budget;
 use ppr_workload::{InstanceSpec, QueryShape};
 
-use crate::harness::{run_method_threads, summarize, MethodOutcome};
+use crate::harness::{run_method, summarize, MethodOutcome};
 
 /// Sweep configuration.
 #[derive(Debug, Clone)]
@@ -26,14 +26,9 @@ pub struct Config {
     pub max_tuples: u64,
     /// Denser parameter grids (the paper's full resolution).
     pub full: bool,
-    /// Smoke-test grids: the smallest instance per workload family and a
-    /// minimal thread lineup, for CI runs that only assert the artifacts
-    /// parse. Overrides `full`.
+    /// Smoke-test grids for `serve-throughput` and `durability`, for CI
+    /// runs that only assert the artifacts parse. Overrides `full`.
     pub quick: bool,
-    /// Executor threads: 1 = the serial streaming executor (cached
-    /// secondary indexes), other values run the partitioned parallel
-    /// executor (0 = all cores).
-    pub threads: usize,
     /// Client pipeline depth for `serve-throughput`: 1 drives the serial
     /// v1 protocol, >1 keeps that many tagged requests in flight on one
     /// v2 connection (and also measures a pipeline-1 baseline).
@@ -52,7 +47,6 @@ impl Default for Config {
             max_tuples: 20_000_000,
             full: false,
             quick: false,
-            threads: 1,
             pipeline: 1,
             connections: None,
         }
@@ -93,7 +87,7 @@ fn point(
         let outcomes: Vec<MethodOutcome> = (0..cfg.seeds)
             .map(|s| {
                 let (q, db) = make(s);
-                run_method_threads(method, &q, &db, &budget, s ^ 0x9e37, cfg.threads)
+                run_method(method, &q, &db, &budget, s ^ 0x9e37)
             })
             .collect();
         let cell = summarize(&outcomes, cfg.timeout);
@@ -609,236 +603,6 @@ pub fn ablation_join(w: &mut impl Write, cfg: &Config) {
     }
 }
 
-/// One measured cell of the parallel-executor ablation: a (workload,
-/// order, method, thread-count) point with its median wall time and the
-/// speedup relative to the serial executor on the same point.
-#[derive(Debug, Clone)]
-pub struct ParallelRow {
-    /// Workload family (`fig4_random` or `fig8_augmented_ladder`).
-    pub workload: &'static str,
-    /// Instance order parameter.
-    pub x: usize,
-    /// Planning method.
-    pub method: Method,
-    /// Executor threads requested (1 = serial pipelined executor,
-    /// 0 = all cores).
-    pub threads: usize,
-    /// Threads the executor actually used (max over finished runs; the
-    /// executor may use fewer than requested on small plans, and resolves
-    /// a request of 0 to the core count).
-    pub threads_used: u64,
-    /// Median wall-clock milliseconds (timeouts contribute the budget).
-    pub median_ms: f64,
-    /// Timed-out runs.
-    pub timeouts: usize,
-    /// Total runs.
-    pub runs: usize,
-    /// `serial median / this median` on the same (workload, x, method);
-    /// 1.0 for the serial row itself.
-    pub speedup: f64,
-    /// Median physical input rows read over finished runs (0 when every
-    /// run timed out). Serial rows fall on warm snapshots as the
-    /// streaming executor reuses cached secondary indexes.
-    pub rows_scanned: u64,
-    /// Median secondary-index probes over finished runs (serial streaming
-    /// rows only; the partitioned executor does not probe indexes).
-    pub index_probes: u64,
-    /// Median secondary-index builds over finished runs.
-    pub index_builds: u64,
-}
-
-/// Ablation: serial vs partitioned-parallel execution of identical plans
-/// on the figure-4 (random, density 3) and figure-8 (augmented ladder)
-/// workloads. Straightforward plans exercise the chunk-parallel pipeline
-/// (one big top-level join chain); bucket elimination exercises
-/// subquery-lane parallelism (many small sibling materializations). The
-/// parallel executor returns byte-identical relations, so rows differ
-/// only in time.
-pub fn ablation_parallel_rows(cfg: &Config) -> Vec<ParallelRow> {
-    let budget = cfg.budget();
-    let mut thread_counts = if cfg.quick {
-        vec![1usize, 2]
-    } else {
-        vec![1usize, 2, 4]
-    };
-    if cfg.threads > 1 && !thread_counts.contains(&cfg.threads) {
-        thread_counts.push(cfg.threads);
-    }
-    let seeds = if cfg.quick {
-        cfg.seeds.min(2)
-    } else {
-        cfg.seeds
-    };
-    let points: Vec<(&'static str, usize, QueryShape)> = {
-        let fig4_orders: &[usize] = if cfg.quick {
-            &[10]
-        } else if cfg.full {
-            &[12, 14, 16]
-        } else {
-            &[12, 14]
-        };
-        let fig8_orders: &[usize] = if cfg.quick {
-            &[4]
-        } else if cfg.full {
-            &[4, 5, 6, 7]
-        } else {
-            &[4, 5, 6]
-        };
-        let mut pts = Vec::new();
-        for &n in fig4_orders {
-            pts.push((
-                "fig4_random",
-                n,
-                QueryShape::Random {
-                    order: n,
-                    density: 3.0,
-                },
-            ));
-        }
-        for &n in fig8_orders {
-            pts.push((
-                "fig8_augmented_ladder",
-                n,
-                QueryShape::AugmentedLadder { order: n },
-            ));
-        }
-        pts
-    };
-    let methods = [
-        Method::Straightforward,
-        Method::BucketElimination(OrderHeuristic::Mcs),
-    ];
-    let mut rows = Vec::new();
-    for (workload, x, shape) in points {
-        for method in methods {
-            let mut serial_median = f64::NAN;
-            for &threads in &thread_counts {
-                let outcomes: Vec<MethodOutcome> = (0..seeds)
-                    .map(|s| {
-                        let (q, db) = InstanceSpec {
-                            shape,
-                            seed: s,
-                            free_fraction: 0.0,
-                        }
-                        .build();
-                        run_method_threads(method, &q, &db, &budget, s ^ 0x9e37, threads)
-                    })
-                    .collect();
-                let threads_used = outcomes
-                    .iter()
-                    .filter_map(|o| o.stats.as_ref().map(|s| s.threads_used))
-                    .max()
-                    .unwrap_or(threads.max(1) as u64);
-                let cell = summarize(&outcomes, cfg.timeout);
-                if threads == 1 {
-                    serial_median = cell.median_millis;
-                }
-                rows.push(ParallelRow {
-                    workload,
-                    x,
-                    method,
-                    threads,
-                    threads_used,
-                    median_ms: cell.median_millis,
-                    timeouts: cell.timeouts,
-                    runs: cell.runs,
-                    speedup: serial_median / cell.median_millis,
-                    rows_scanned: cell.median_scanned.unwrap_or(0.0) as u64,
-                    index_probes: cell.median_index_probes.unwrap_or(0.0) as u64,
-                    index_builds: cell.median_index_builds.unwrap_or(0.0) as u64,
-                });
-            }
-        }
-    }
-    rows
-}
-
-/// Runs [`ablation_parallel_rows`] and prints the TSV; returns the rows so
-/// the caller can also serialize them (`experiments ablation-parallel`
-/// writes `results/BENCH_parallel.json`).
-pub fn ablation_parallel(w: &mut impl Write, cfg: &Config) -> Vec<ParallelRow> {
-    let rows = ablation_parallel_rows(cfg);
-    print_parallel_rows(w, &rows);
-    rows
-}
-
-/// Prints the parallel-ablation TSV for already-measured rows (kept
-/// separate so the harness can persist the JSON report *before* printing
-/// — a downstream `| head` closing stdout must not lose the artifact).
-pub fn print_parallel_rows(w: &mut impl Write, rows: &[ParallelRow]) {
-    writeln!(
-        w,
-        "workload\tx\tmethod\tthreads\tthreads_used\tmedian_ms\ttimeouts\truns\tspeedup\trows_scanned\tix_probes\tix_builds"
-    )
-    .expect("write");
-    for r in rows {
-        writeln!(
-            w,
-            "{}\t{}\t{}\t{}\t{}\t{:.3}\t{}\t{}\t{:.2}\t{}\t{}\t{}",
-            r.workload,
-            r.x,
-            r.method.name(),
-            r.threads,
-            r.threads_used,
-            r.median_ms,
-            r.timeouts,
-            r.runs,
-            r.speedup,
-            r.rows_scanned,
-            r.index_probes,
-            r.index_builds
-        )
-        .expect("write");
-    }
-}
-
-/// Hand-rolled machine-readable report for the parallel ablation (no JSON
-/// dependency in the tree; the format is plain enough to emit directly).
-pub fn parallel_report_json(cfg: &Config, rows: &[ParallelRow]) -> String {
-    let mut s = String::from("{\n");
-    s.push_str("  \"benchmark\": \"ablation_parallel\",\n");
-    s.push_str(&format!(
-        "  \"host\": {{\"cpus\": {}}},\n",
-        crate::harness::host_cpus()
-    ));
-    if crate::harness::host_cpus() == 1 {
-        s.push_str(
-            "  \"note\": \"single-CPU host: thread counts above 1 time-slice one core, \
-             so speedups below 1.0 are expected; serial rows carry the streaming \
-             executor's index counters\",\n",
-        );
-    }
-    s.push_str(&format!("  \"seeds\": {},\n", cfg.seeds));
-    s.push_str(&format!("  \"timeout_ms\": {},\n", cfg.timeout.as_millis()));
-    s.push_str(&format!("  \"max_tuples\": {},\n", cfg.max_tuples));
-    s.push_str(&format!("  \"threads_requested\": {},\n", cfg.threads));
-    s.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"x\": {}, \"method\": \"{}\", \"threads\": {}, \
-             \"threads_used\": {}, \
-             \"median_ms\": {:.3}, \"timeouts\": {}, \"runs\": {}, \"speedup_vs_serial\": {:.3}, \
-             \"rows_scanned\": {}, \"index_probes\": {}, \"index_builds\": {}}}{}\n",
-            r.workload,
-            r.x,
-            r.method.name(),
-            r.threads,
-            r.threads_used,
-            r.median_ms,
-            r.timeouts,
-            r.runs,
-            r.speedup,
-            r.rows_scanned,
-            r.index_probes,
-            r.index_builds,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 /// The §2 claim made executable: semijoin reduction removes nothing on
 /// the COLOR workloads (every projection of the edge relation is the full
 /// domain), but on selective relations — a successor chain — it prunes,
@@ -971,7 +735,6 @@ mod tests {
             max_tuples: 2_000_000,
             full: false,
             quick: false,
-            threads: 1,
             pipeline: 1,
             connections: None,
         }
@@ -1043,62 +806,6 @@ mod tests {
             let shrink: f64 = line.split('\t').nth(1).unwrap().parse().unwrap();
             assert_eq!(shrink, 0.0, "{line}");
         }
-    }
-
-    #[test]
-    fn ablation_parallel_reports_speedups_and_json() {
-        let cfg = Config {
-            seeds: 1,
-            timeout: Duration::from_millis(500),
-            max_tuples: 2_000_000,
-            full: false,
-            quick: false,
-            threads: 2,
-            pipeline: 1,
-            connections: None,
-        };
-        let mut out = Vec::new();
-        let rows = ablation_parallel(&mut out, &cfg);
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("fig8_augmented_ladder"));
-        assert!(s.contains("fig4_random"));
-        // 5 points × 2 methods × 3 thread counts (2 is already in {1,2,4}).
-        assert_eq!(rows.len(), 5 * 2 * 3);
-        for r in &rows {
-            if r.threads == 1 {
-                assert!((r.speedup - 1.0).abs() < 1e-9);
-            }
-            assert!(r.median_ms.is_finite());
-        }
-        // Serial rows ran the streaming executor, so the index counters
-        // are live; parallel rows never probe indexes.
-        assert!(rows
-            .iter()
-            .filter(|r| r.threads == 1 && r.timeouts == 0)
-            .all(|r| r.rows_scanned > 0));
-        let json = parallel_report_json(&cfg, &rows);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"benchmark\": \"ablation_parallel\""));
-        assert!(json.contains("\"speedup_vs_serial\""));
-        assert!(json.contains("\"host\": {\"cpus\": "));
-        assert!(json.contains("\"threads_requested\": 2"));
-        assert!(json.contains("\"threads_used\""));
-        assert!(json.contains("\"rows_scanned\""));
-        assert!(json.contains("\"index_probes\""));
-        assert!(json.contains("\"index_builds\""));
-        assert!(json.contains("\"quick\": false"));
-        // Every row serialized.
-        assert_eq!(json.matches("\"workload\"").count(), rows.len());
-    }
-
-    #[test]
-    fn quick_mode_shrinks_the_parallel_grid() {
-        let mut cfg = tiny();
-        cfg.quick = true;
-        let rows = ablation_parallel_rows(&cfg);
-        // One point per workload family × 2 methods × threads {1, 2}.
-        assert_eq!(rows.len(), 2 * 2 * 2);
-        assert!(rows.iter().all(|r| r.threads <= 2));
     }
 
     #[test]

@@ -37,8 +37,8 @@ pub struct MethodOutcome {
 }
 
 /// Plans and executes `method` on one instance under `budget`; `seed`
-/// drives the method's tie-breaking randomness. Serial execution; see
-/// [`run_method_threads`] for the parallel executor.
+/// drives the method's tie-breaking randomness. Runs the streaming
+/// executor (push-based, over cached secondary indexes).
 pub fn run_method(
     method: Method,
     query: &ConjunctiveQuery,
@@ -46,31 +46,10 @@ pub fn run_method(
     budget: &Budget,
     seed: u64,
 ) -> MethodOutcome {
-    run_method_threads(method, query, db, budget, seed, 1)
-}
-
-/// [`run_method`] with an executor-thread count: `threads == 1` runs the
-/// serial streaming executor (push-based, over cached secondary indexes),
-/// anything else the partitioned parallel executor (`0` = all available
-/// cores). Both produce byte-identical relations, so sweeps stay
-/// comparable across thread counts.
-pub fn run_method_threads(
-    method: Method,
-    query: &ConjunctiveQuery,
-    db: &Database,
-    budget: &Budget,
-    seed: u64,
-    threads: usize,
-) -> MethodOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let started = Instant::now();
     let plan = build_plan(method, query, db, &mut rng);
-    let result = if threads == 1 {
-        exec::execute(&plan, budget)
-    } else {
-        ppr_relalg::parallel::execute_parallel(&plan, budget, threads)
-    };
-    match result {
+    match exec::execute(&plan, budget) {
         Ok((rel, stats)) => MethodOutcome {
             method,
             status: RunStatus::Ok,
@@ -89,9 +68,8 @@ pub fn run_method_threads(
     }
 }
 
-/// Logical CPUs on this host, as seen by the executor's `0 = all cores`
-/// resolution; recorded in benchmark reports so numbers are interpretable
-/// on other machines.
+/// Logical CPUs on this host; recorded in benchmark reports so numbers
+/// are interpretable on other machines.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -134,13 +112,6 @@ pub struct CellSummary {
     pub median_tuples: Option<f64>,
     /// Max intermediate arity over finished runs.
     pub max_arity: Option<usize>,
-    /// Median physical input rows read over finished runs; falls on warm
-    /// snapshots as the streaming executor reuses cached indexes.
-    pub median_scanned: Option<f64>,
-    /// Median secondary-index probes over finished runs.
-    pub median_index_probes: Option<f64>,
-    /// Median secondary-index builds over finished runs.
-    pub median_index_builds: Option<f64>,
 }
 
 /// Summarizes a cell.
@@ -152,14 +123,6 @@ pub fn summarize(outcomes: &[MethodOutcome], budget_timeout: Duration) -> CellSu
             RunStatus::Timeout => budget_timeout.as_secs_f64() * 1e3,
         })
         .collect();
-    let stat_median = |pick: fn(&ExecStats) -> u64| {
-        median(
-            outcomes
-                .iter()
-                .filter_map(|o| o.stats.as_ref().map(|s| pick(s) as f64))
-                .collect(),
-        )
-    };
     let tuples: Vec<f64> = outcomes
         .iter()
         .filter_map(|o| o.stats.as_ref().map(|s| s.tuples_flowed as f64))
@@ -177,9 +140,6 @@ pub fn summarize(outcomes: &[MethodOutcome], budget_timeout: Duration) -> CellSu
         runs: outcomes.len(),
         median_tuples: median(tuples),
         max_arity,
-        median_scanned: stat_median(|s| s.rows_scanned),
-        median_index_probes: stat_median(|s| s.index_probes),
-        median_index_builds: stat_median(|s| s.index_builds),
     }
 }
 

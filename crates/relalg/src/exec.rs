@@ -4,10 +4,12 @@
 //! of three executors that produce the same answers:
 //!
 //! * [`ExecMode::Streaming`] (the default) — the push-based streaming
-//!   executor in [`crate::pipelined`]: scans stream straight off the base
-//!   relations and equality joins probe per-column secondary indexes
-//!   ([`crate::index`]) cached on the shared `Arc` snapshot, so repeated
-//!   queries skip the per-query bind copies and hash builds entirely.
+//!   executor in [`crate::pipelined`], and the one production executor:
+//!   the server, `Eval`, the figures and the benches all run it. Scans
+//!   stream straight off the base relations and equality joins probe
+//!   per-column secondary indexes ([`crate::index`]) cached on the shared
+//!   `Arc` snapshot, so repeated queries skip the per-query bind copies
+//!   and hash builds entirely.
 //! * [`ExecMode::Pipelined`] — the classic hash-join pipeline that stands
 //!   in for the PostgreSQL backend of the paper's experiments: hash tables
 //!   are built on every input except the first, and tuples stream
@@ -38,8 +40,6 @@ use crate::stats::ExecStats;
 use crate::value::{Tuple, Value};
 use crate::Result;
 
-pub use crate::parallel::{execute_parallel, execute_parallel_with};
-
 /// Which executor variant [`execute_with`] runs. All three return the
 /// same rows; the two pipelined modes are byte-identical (same row order,
 /// same `tuples_flowed`).
@@ -56,11 +56,10 @@ pub enum ExecMode {
     Materialized,
 }
 
-/// Options for the serial executors.
+/// Options for [`execute_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Which executor variant runs (ignored by the parallel executor,
-    /// which is its own partitioned pipeline).
+    /// Which executor variant runs.
     pub mode: ExecMode,
     /// Whether `ProjectDistinct` nodes de-duplicate (`SELECT DISTINCT`).
     /// Disabling turns every subquery into a plain `SELECT` — the

@@ -18,8 +18,7 @@
 //! Wide *inserts* allocate only on the first occurrence of each distinct
 //! key, never per probing tuple.
 
-use rustc_hash::{FxHashMap, FxHashSet, FxHasher};
-use std::hash::Hasher;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 use crate::value::Value;
 
@@ -73,19 +72,6 @@ pub fn pack(positions: &[usize], row: &[Value]) -> u64 {
         [a, b] => ((row[*a] as u64) << 32) | row[*b] as u64,
         _ => panic!("pack called with key width > {INLINE_WIDTH}"),
     }
-}
-
-/// Shard index for a key, consistent between build partitioning and probe
-/// routing in the parallel executor. Hashes the extracted values directly,
-/// so it never allocates regardless of key width.
-#[inline]
-pub fn shard_of(positions: &[usize], row: &[Value], shards: usize) -> usize {
-    debug_assert!(shards > 0);
-    let mut h = FxHasher::default();
-    for &p in positions {
-        h.write_u32(row[p]);
-    }
-    (h.finish() as usize) % shards
 }
 
 /// Fills `scratch` with the key values of `row` at `positions` and returns
@@ -304,19 +290,5 @@ mod tests {
             assert!(!set.contains(&positions, &vec![6u32; width], &mut scratch));
             assert_eq!(set.len(), 1);
         }
-    }
-
-    #[test]
-    fn shard_routing_is_consistent_and_in_range() {
-        let row = [3u32, 4, 5];
-        for shards in 1..8 {
-            let s = shard_of(&[0, 2], &row, shards);
-            assert!(s < shards);
-            assert_eq!(s, shard_of(&[0, 2], &row, shards));
-        }
-        // Keys equal as values route to the same shard even from
-        // different rows/positions.
-        let other = [9u32, 3, 5];
-        assert_eq!(shard_of(&[0, 2], &row, 4), shard_of(&[1, 2], &other, 4));
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! This crate plays the role PostgreSQL played in the paper's experiments:
 //! it stores small relations in memory and evaluates project-join plans with
-//! hash joins. Three serial evaluation styles are provided (selected by
-//! [`exec::ExecMode`]), mirroring and then improving on how PostgreSQL
-//! executes the paper's generated SQL:
+//! hash joins. Execution is serial, as PostgreSQL 7.2's was. Three
+//! evaluation styles are provided (selected by [`exec::ExecMode`]),
+//! mirroring and then improving on how PostgreSQL executes the paper's
+//! generated SQL:
 //!
 //! * [`pipelined`] — the default **push-based streaming** executor: scans
 //!   stream straight off the base relations and equality joins probe
@@ -39,7 +40,6 @@ pub mod exec;
 pub mod index;
 pub mod key;
 pub mod ops;
-pub mod parallel;
 pub mod pipelined;
 pub mod plan;
 pub mod relation;

@@ -146,26 +146,6 @@ impl Plan {
         }
     }
 
-    /// Number of sibling `ProjectDistinct` subqueries feeding the top-level
-    /// join chain — the independent materializations the parallel executor
-    /// ([`crate::parallel::execute_parallel`]) evaluates concurrently. A
-    /// root `ProjectDistinct` is a boundary, not a sibling: the count is
-    /// taken over its input. Scans contribute nothing (they are bound, not
-    /// materialized), so a pure scan/join tree reports 0.
-    pub fn independent_subqueries(&self) -> usize {
-        fn chain(plan: &Plan) -> usize {
-            match plan {
-                Plan::Scan { .. } => 0,
-                Plan::Join { left, right } => chain(left) + chain(right),
-                Plan::ProjectDistinct { .. } => 1,
-            }
-        }
-        match self {
-            Plan::ProjectDistinct { input, .. } => chain(input),
-            other => chain(other),
-        }
-    }
-
     /// Validates the whole tree (schema computation visits every node).
     pub fn validate(&self) -> Result<()> {
         self.width().map(|_| ())
@@ -275,26 +255,6 @@ mod tests {
         assert_eq!(p.node_count(), 4);
         assert_eq!(p.scan_count(), 2);
         assert_eq!(p.materialization_count(), 1);
-    }
-
-    #[test]
-    fn independent_subqueries_counts_siblings() {
-        let e = || Plan::scan(edge(), vec![AttrId(1), AttrId(2)]);
-        // Pure join chain: no materialized siblings.
-        assert_eq!(e().join(e()).independent_subqueries(), 0);
-        // Two projected subqueries joined: both are siblings.
-        let sub = |a, b| {
-            Plan::scan(edge(), vec![a, b])
-                .join(Plan::scan(edge(), vec![b, a]))
-                .project(vec![a, b])
-        };
-        let two = sub(AttrId(1), AttrId(2)).join(sub(AttrId(2), AttrId(3)));
-        assert_eq!(two.independent_subqueries(), 2);
-        // A root projection is a boundary, not a sibling.
-        assert_eq!(two.project(vec![AttrId(1)]).independent_subqueries(), 2);
-        // Nested subqueries below a sibling boundary are not counted.
-        let nested = sub(AttrId(1), AttrId(2)).join(e()).project(vec![AttrId(1)]);
-        assert_eq!(nested.independent_subqueries(), 1);
     }
 
     #[test]

@@ -32,16 +32,11 @@ pub struct ExecStats {
     pub join_stages: u64,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// Worker threads the executor ran with (1 for the serial executors).
+    /// Threads the executor ran with: always 1 (execution is serial).
+    /// Kept because replies, the slow-query log and traces carry it.
     pub threads_used: u64,
-    /// Tuples flowed by each probe worker of the parallel executor
-    /// (empty for the serial executors). Sums to the top-level pipeline's
-    /// share of [`ExecStats::tuples_flowed`]; the spread shows partition
-    /// balance.
-    pub shard_tuples: Vec<u64>,
-    /// Total busy time summed across worker threads. Equals `elapsed` for
-    /// serial execution; the `cpu_time / elapsed` ratio is the effective
-    /// parallel speedup.
+    /// Execution CPU time: always equals `elapsed` (execution is serial).
+    /// Kept because replies carry it as `cpu_us`.
     pub cpu_time: Duration,
     /// Physical input rows read: base rows streamed by scans, rows hashed
     /// into per-query build tables, base rows read while building a
@@ -67,7 +62,7 @@ pub struct ExecStats {
 
 /// Fixed-width summary of an execution — the quantities a trace span or
 /// slow-query-log entry carries to explain a request without hauling the
-/// full [`ExecStats`] (whose `shard_tuples` vector is unbounded) across a
+/// full [`ExecStats`] (whose operator profile is unbounded) across a
 /// metrics boundary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecDigest {
@@ -77,7 +72,7 @@ pub struct ExecDigest {
     pub peak_materialized: u64,
     /// Number of join stages executed.
     pub join_stages: u64,
-    /// Worker threads the executor ran with (1 = serial).
+    /// Threads the executor ran with (always 1).
     pub threads_used: u64,
     /// Physical input rows read (see [`ExecStats::rows_scanned`]).
     pub rows_scanned: u64,
@@ -102,67 +97,5 @@ impl ExecStats {
             index_probes: self.index_probes,
             index_builds: self.index_builds,
         }
-    }
-
-    /// Merges `other` into `self` (used when a harness sums over plan
-    /// fragments executed separately).
-    pub fn absorb(&mut self, other: &ExecStats) {
-        self.tuples_flowed += other.tuples_flowed;
-        self.materialized_rows_in += other.materialized_rows_in;
-        self.materialized_rows_out += other.materialized_rows_out;
-        self.peak_materialized = self.peak_materialized.max(other.peak_materialized);
-        self.max_intermediate_arity = self
-            .max_intermediate_arity
-            .max(other.max_intermediate_arity);
-        self.materializations += other.materializations;
-        self.join_stages += other.join_stages;
-        self.elapsed += other.elapsed;
-        self.threads_used = self.threads_used.max(other.threads_used);
-        if self.shard_tuples.len() < other.shard_tuples.len() {
-            self.shard_tuples.resize(other.shard_tuples.len(), 0);
-        }
-        for (mine, theirs) in self.shard_tuples.iter_mut().zip(&other.shard_tuples) {
-            *mine += theirs;
-        }
-        self.cpu_time += other.cpu_time;
-        self.rows_scanned += other.rows_scanned;
-        self.rows_emitted += other.rows_emitted;
-        self.index_probes += other.index_probes;
-        self.index_builds += other.index_builds;
-        // Profiles do not merge across fragments; keep the first one.
-        if self.op_profile.is_none() {
-            self.op_profile = other.op_profile.clone();
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn absorb_sums_and_maxes() {
-        let mut a = ExecStats {
-            tuples_flowed: 10,
-            peak_materialized: 5,
-            max_intermediate_arity: 3,
-            materializations: 1,
-            join_stages: 2,
-            ..Default::default()
-        };
-        let b = ExecStats {
-            tuples_flowed: 7,
-            peak_materialized: 9,
-            max_intermediate_arity: 2,
-            materializations: 2,
-            join_stages: 1,
-            ..Default::default()
-        };
-        a.absorb(&b);
-        assert_eq!(a.tuples_flowed, 17);
-        assert_eq!(a.peak_materialized, 9);
-        assert_eq!(a.max_intermediate_arity, 3);
-        assert_eq!(a.materializations, 3);
-        assert_eq!(a.join_stages, 3);
     }
 }

@@ -27,10 +27,10 @@
 //!    the shared `Arc<Plan>`; a miss builds the plan and publishes it.
 //!    The plan key carries the same `(db, version)` prefix, because plans
 //!    embed `Arc<Relation>` scans of the snapshot they were built on.
-//! 6. **Execute + publish** — serial or partitioned-parallel executor
-//!    under the request budget clamped by the server maximum; a
-//!    successful result is offered to the result cache (byte-budgeted,
-//!    LRU).
+//! 6. **Execute + publish** — the streaming executor
+//!    ([`exec::execute_with`]) under the request budget clamped by the
+//!    server maximum; a successful result is offered to the result cache
+//!    (byte-budgeted, LRU).
 //!
 //! Shutdown is graceful: the queue closes, workers drain every admitted
 //! request (each waiting client still gets its answer), then exit.
@@ -44,7 +44,7 @@ use ppr_core::methods::{Method, OrderHeuristic};
 use ppr_core::passes::plan_query;
 use ppr_obs::{OpNode, PassSpan, Phase, ProfileMode, Quantiles, SlowEntry, TraceSpans, PHASES};
 use ppr_query::{ConjunctiveQuery, Database, QueryIdentity};
-use ppr_relalg::{exec, parallel, streaming_shape, Budget, ExecStats, Value};
+use ppr_relalg::{exec, streaming_shape, Budget, ExecStats, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -260,9 +260,9 @@ pub struct EngineConfig {
     /// Result-cache byte budget; 0 disables result caching (every request
     /// executes, as in PR 2).
     pub result_cache_bytes: usize,
-    /// Threads per request inside the executor: 1 = the serial push-based
-    /// streaming executor (probing secondary indexes cached on the
-    /// snapshot), else [`parallel::execute_parallel`] (0 = all cores).
+    /// Must be 1: execution is serial and the engine never reads this
+    /// field. It exists only because the benchmark harness sets it, and
+    /// goes with the next change to the benchmark.
     pub exec_threads: usize,
     /// Server-side budget ceiling; request overrides are clamped to it.
     pub max_budget: Budget,
@@ -271,7 +271,7 @@ pub struct EngineConfig {
     /// Slow-query-log entries retained (worst-N by latency); 0 selects
     /// [`crate::metrics::DEFAULT_SLOWLOG_CAPACITY`].
     pub slowlog_capacity: usize,
-    /// Run every serial execution with per-operator profiling on, feeding
+    /// Run every execution with per-operator profiling on, feeding
     /// the `ppr_op_*` metrics and slow-log operator digests. Costs a few
     /// clock reads per row on the streaming executor's hot path, so it is
     /// off by default; `explain analyze` profiles its own request
@@ -319,7 +319,6 @@ struct Shared {
     max_inflight: usize,
     served: AtomicU64,
     rejected: AtomicU64,
-    exec_threads: usize,
     max_budget: Budget,
     default_seed: u64,
     profile_ops: bool,
@@ -677,7 +676,6 @@ impl Engine {
             max_inflight,
             served: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
-            exec_threads: cfg.exec_threads,
             max_budget: cfg.max_budget,
             default_seed: cfg.default_seed,
             profile_ops: cfg.profile_ops,
@@ -1079,33 +1077,26 @@ fn process(
     let budget = budget.clamp(&shared.max_budget);
 
     let started = Instant::now();
-    // Serial requests take the streaming executor (`ExecMode::Streaming`,
-    // the `exec::execute` default): per-column indexes are built lazily
-    // and cached on the pinned snapshot's `Arc`-shared relations, so
-    // every later request against the same catalog version probes them
-    // for free — copy-on-write catalog updates clone the relation and
-    // start cold, which keeps sharing sound.
-    // `explain analyze` forces the serial streaming path: the parallel
-    // executor has no profiling hooks, and an annotated tree is the whole
-    // point of the request.
+    // The streaming executor (`ExecMode::Streaming`, the `exec::execute`
+    // default): per-column indexes are built lazily and cached on the
+    // pinned snapshot's `Arc`-shared relations, so every later request
+    // against the same catalog version probes them for free —
+    // copy-on-write catalog updates clone the relation and start cold,
+    // which keeps sharing sound.
     let analyze = request.explain == ExplainMode::Analyze;
-    let profile = if analyze || (shared.profile_ops && shared.exec_threads == 1) {
+    let profile = if analyze || shared.profile_ops {
         ProfileMode::On
     } else {
         ProfileMode::Off
     };
-    let executed = if shared.exec_threads == 1 || analyze {
-        exec::execute_with(
-            &plan,
-            &budget,
-            exec::ExecOptions {
-                profile,
-                ..Default::default()
-            },
-        )
-    } else {
-        parallel::execute_parallel(&plan, &budget, shared.exec_threads)
-    };
+    let executed = exec::execute_with(
+        &plan,
+        &budget,
+        exec::ExecOptions {
+            profile,
+            ..Default::default()
+        },
+    );
     spans.set(Phase::Exec, started.elapsed().as_micros() as u64);
     let (rel, stats) = executed.map_err(ServiceError::Exec)?;
 

@@ -11,7 +11,7 @@
 //! ppr width  (--random N,D | --family NAME,ORDER | --edges FILE) [--seed S]
 //! ppr serve  [--listen HOST:PORT] [--rel '…'] [--rel-file name=path.csv]
 //!            [--colors K] [--workers N] [--queue N] [--cache N]
-//!            [--result-cache-bytes N] [--exec-threads N] [--max-tuples N]
+//!            [--result-cache-bytes N] [--exec-threads 1] [--max-tuples N]
 //!            [--timeout-ms T] [--metrics-addr HOST:PORT] [--slowlog N]
 //!            [--data-dir DIR] [--no-fsync] [--max-connections N]
 //!            [--idle-timeout-ms T] [--threads] [--profile-ops]
@@ -377,11 +377,15 @@ fn cmd_serve(flags: &Flags) {
     cfg.queue_capacity = flags.num("queue", 64usize);
     cfg.cache_capacity = flags.num("cache", 256usize);
     cfg.result_cache_bytes = flags.num("result-cache-bytes", cfg.result_cache_bytes);
-    cfg.exec_threads = flags.num("exec-threads", 1usize);
+    // Execution is serial; the flag survives only because the benchmark
+    // harness passes `--exec-threads 1`.
+    if flags.num("exec-threads", 1usize) != 1 {
+        die("--exec-threads: only 1 is supported (execution is serial)");
+    }
     cfg.max_budget = Budget::tuples(flags.num("max-tuples", u64::MAX))
         .with_timeout(Duration::from_millis(flags.num("timeout-ms", 60_000)));
     cfg.slowlog_capacity = flags.num("slowlog", cfg.slowlog_capacity);
-    // Profile every serial execution: per-operator rows/time feed the
+    // Profile every execution: per-operator rows/time feed the
     // ppr_op_* metrics and slow-log digests (small constant overhead).
     cfg.profile_ops = flags.has("profile-ops");
 

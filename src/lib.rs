@@ -62,7 +62,6 @@ pub mod prelude {
     pub use crate::{graph, Eval, Method, OrderHeuristic};
     pub use ppr_core::methods::{build_plan, emit_sql};
     pub use ppr_query::{Atom, ConjunctiveQuery, Database, Vars};
-    pub use ppr_relalg::parallel::execute_parallel;
     pub use ppr_relalg::{Budget, Plan};
     pub use ppr_service::{
         Catalog, Client, Engine, EngineConfig, Pipeline, Request, Server, ServiceError, Ticket,
@@ -74,7 +73,7 @@ pub mod prelude {
 /// fluently.
 ///
 /// Defaults: bucket elimination under the MCS order (the paper's winning
-/// method), seed 0, one executor thread, unlimited budget.
+/// method), seed 0, unlimited budget.
 ///
 /// ```
 /// # use projection_pushing::prelude::*;
@@ -86,7 +85,6 @@ pub mod prelude {
 /// let (rows, stats) = Eval::new(&q, &db)
 ///     .method(Method::EarlyProjection)
 ///     .seed(7)
-///     .threads(4)
 ///     .budget(Budget::tuples(1_000_000))
 ///     .run()
 ///     .unwrap();
@@ -98,7 +96,6 @@ pub struct Eval<'a> {
     db: &'a Database,
     method: Method,
     seed: u64,
-    threads: usize,
     budget: Budget,
 }
 
@@ -110,7 +107,6 @@ impl<'a> Eval<'a> {
             db,
             method: Method::BucketElimination(OrderHeuristic::Mcs),
             seed: 0,
-            threads: 1,
             budget: Budget::unlimited(),
         }
     }
@@ -129,14 +125,6 @@ impl<'a> Eval<'a> {
         self
     }
 
-    /// Executor threads: `1` (default) runs the serial pipelined
-    /// executor, any other value the partitioned-parallel executor
-    /// (`0` = all cores). Rows are byte-identical either way.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Bounds execution by tuples flowed and/or wall clock (default
     /// unlimited). Exhaustion is an error, never a truncated result.
     pub fn budget(mut self, budget: Budget) -> Self {
@@ -149,11 +137,7 @@ impl<'a> Eval<'a> {
     pub fn run(&self) -> ppr_relalg::Result<(Relation, ExecStats)> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let plan = build_plan(self.method, self.query, self.db, &mut rng);
-        if self.threads == 1 {
-            exec::execute(&plan, &self.budget)
-        } else {
-            ppr_relalg::parallel::execute_parallel(&plan, &self.budget, self.threads)
-        }
+        exec::execute(&plan, &self.budget)
     }
 
     /// Runs and reports only whether the result is non-empty — the
@@ -185,24 +169,6 @@ mod tests {
         for method in Method::paper_lineup() {
             assert!(three_color(&c5, method, 1), "{method:?}");
             assert!(!three_color(&k4, method, 1), "{method:?}");
-        }
-    }
-
-    #[test]
-    fn eval_threads_match_serial() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let g = graph::families::augmented_ladder(4);
-        let (q, db) =
-            ppr_workload::color_query(&g, &ppr_workload::ColorQueryOptions::boolean(), &mut rng);
-        let eval = Eval::new(&q, &db)
-            .method(Method::BucketElimination(OrderHeuristic::Mcs))
-            .seed(7);
-        let (serial, _) = eval.run().unwrap();
-        for threads in [2usize, 4] {
-            let (par, stats) = eval.clone().threads(threads).run().unwrap();
-            assert_eq!(serial.schema(), par.schema());
-            assert_eq!(serial.tuples(), par.tuples());
-            assert!(stats.threads_used >= 1);
         }
     }
 

@@ -8,6 +8,7 @@
 
 use projection_pushing::prelude::*;
 use projection_pushing::query::{parse_query, Database};
+use projection_pushing::relalg::ExecStats;
 use projection_pushing::service::engine::EngineStats;
 use projection_pushing::workload::edge_relation;
 use projection_pushing::{service, Eval};
@@ -55,7 +56,7 @@ fn wire_answers_match_library_evaluation_per_method() {
     for method in all_methods() {
         // The engine's default seed is 0; evaluate with the same seed and
         // an equivalent budget for byte-identical plans and rows.
-        let (expected, _) = Eval::new(&query, &db).method(method).run().unwrap();
+        let (expected, lib) = Eval::new(&query, &db).method(method).run().unwrap();
         let response = client.run(&Request::new(PENTAGON, method)).unwrap();
         assert_eq!(
             response.rows,
@@ -63,15 +64,29 @@ fn wire_answers_match_library_evaluation_per_method() {
             "{} over the wire differs from the library",
             method.name()
         );
-        // And from the parallel executor, which is byte-identical by
-        // construction.
-        let (par, _) = Eval::new(&query, &db)
-            .method(method)
-            .threads(2)
-            .run()
-            .unwrap();
-        assert_eq!(response.rows, par.tuples().to_vec());
         assert_eq!(response.columns, vec!["a", "b"]);
+        // The wire runs the same executor as the library, so every
+        // host-independent counter agrees too. `rows_scanned` and
+        // `index_builds` are left out: they depend on whether the
+        // snapshot's indexes are already warm.
+        let wire = &response.stats;
+        let counters = |s: &ExecStats| {
+            (
+                s.tuples_flowed,
+                s.rows_emitted,
+                s.index_probes,
+                s.materializations,
+                s.join_stages,
+                s.max_intermediate_arity,
+            )
+        };
+        assert_eq!(
+            counters(wire),
+            counters(&lib),
+            "{} counters over the wire differ from the library",
+            method.name()
+        );
+        assert_eq!(wire.threads_used, 1, "execution is serial");
     }
 
     // Re-running the lineup is served from the result cache for every
@@ -584,6 +599,57 @@ fn ppr_binary_serve_and_client_round_trip() {
         named_out.contains("rows: 2"),
         "unexpected output: {named_out}"
     );
+}
+
+/// Execution is serial: `ppr serve --exec-threads` accepts only 1 (the
+/// value the benchmark harness passes) and refuses anything else before
+/// binding.
+#[test]
+fn exec_threads_flag_accepts_only_one() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let refused = Command::new(env!("CARGO_BIN_EXE_ppr"))
+        .args(["serve", "--exec-threads", "2", "--listen", "127.0.0.1:0"])
+        .output()
+        .expect("run ppr serve");
+    assert!(!refused.status.success(), "--exec-threads 2 must fail");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(
+        stderr.contains("--exec-threads: only 1 is supported (execution is serial)"),
+        "unexpected stderr: {stderr}"
+    );
+
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_ppr"))
+        .args(["serve", "--exec-threads", "1", "--listen", "127.0.0.1:0"])
+        .stderr(Stdio::piped())
+        .stdout(Stdio::null())
+        .spawn()
+        .expect("spawn ppr serve");
+    let stderr = serve.stderr.take().expect("stderr");
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines() {
+            let Ok(line) = line else { break };
+            if let Some(rest) = line.strip_prefix("ppr-service listening on ") {
+                let _ = tx.send(rest.trim().to_string());
+            }
+        }
+    });
+    let addr = rx.recv_timeout(std::time::Duration::from_secs(30));
+    let pong = addr.as_ref().ok().map(|addr| {
+        Command::new(env!("CARGO_BIN_EXE_ppr"))
+            .args(["client", "--connect", addr, "--ping"])
+            .output()
+            .expect("run ppr client")
+    });
+    let _ = serve.kill();
+    let _ = serve.wait();
+
+    addr.expect("serve --exec-threads 1 never reported its address");
+    let pong = pong.expect("ping ran");
+    assert!(pong.status.success(), "ping failed: {pong:?}");
+    assert_eq!(String::from_utf8_lossy(&pong.stdout).trim(), "pong");
 }
 
 /// The profiling tentpole's acceptance bar over real TCP: `explain
