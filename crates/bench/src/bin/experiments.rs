@@ -27,12 +27,14 @@
 //! array is empty elsewhere.
 //!
 //! `durability` sweeps the persistence axis (memory-only / WAL /
-//! WAL+fsync-every-commit) on the catalog mutation path and measures
+//! WAL+fsync-every-commit) on the catalog mutation path, times `add`
+//! against relation size (1k/10k/100k tuples), and measures
 //! cold-recovery time against database size, writing the report to
 //! `results/BENCH_durability.json`.
 //!
 //! `--quick` shrinks the `serve-throughput` (256 requests per phase) and
-//! `durability` (64 mutations, one recovery size) grids — a CI smoke mode
+//! `durability` (64 mutations, relation sizes 1k and 10k, one recovery
+//! size) grids — a CI smoke mode
 //! that exercises the full measurement and report path without producing
 //! publishable numbers.
 //!

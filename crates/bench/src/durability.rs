@@ -1,7 +1,7 @@
 //! Durability-axis microbenchmark: what does persistence cost, and how
 //! fast does a catalog come back?
 //!
-//! Two sweeps, reported together in `results/BENCH_durability.json`:
+//! Three sweeps, reported together in `results/BENCH_durability.json`:
 //!
 //! * **Mutation path** — the same `add` workload against a memory-only
 //!   catalog (`off`), a durable catalog that appends to the WAL without
@@ -10,6 +10,12 @@
 //!   fsync overheads; the WAL/fsync/snapshot counters from
 //!   [`DurabilityStats`] are recorded alongside so a surprising latency
 //!   can be traced to the checkpoint it paid for.
+//! * **Mutation cost vs relation size** — `add` latency on a
+//!   memory-only catalog whose relation already holds 1k, 10k or 100k
+//!   tuples, with one column index built as a served relation's would
+//!   be. An `add` probes for duplicates, adjusts one fingerprint digest
+//!   and extends the built index, so what grows with size is the copy
+//!   of the relation's rows, not a rehash of the database.
 //! * **Recovery time vs database size** — durable directories populated
 //!   at increasing tuple counts are reopened cold; each row records the
 //!   store-level replay time ([`RecoveryReport::duration_us`]) and the
@@ -88,6 +94,20 @@ pub struct MutationRow {
     pub snapshot_writes: u64,
 }
 
+/// One mutation-cost measurement: `mutations` memory-only `add`s to a
+/// relation preloaded with `tuples` rows.
+#[derive(Debug, Clone)]
+pub struct SizeRow {
+    /// Relation size before the timed adds, tuples.
+    pub tuples: usize,
+    /// Acknowledged mutations measured.
+    pub mutations: usize,
+    /// Median per-mutation latency, microseconds.
+    pub p50_us: f64,
+    /// 95th-percentile per-mutation latency, microseconds.
+    pub p95_us: f64,
+}
+
 /// One recovery measurement: a durable directory holding `tuples` rows
 /// reopened cold.
 #[derive(Debug, Clone)]
@@ -105,11 +125,13 @@ pub struct RecoveryRow {
     pub open_us: u64,
 }
 
-/// Both sweeps, ready for printing and the JSON artifact.
+/// All three sweeps, ready for printing and the JSON artifact.
 #[derive(Debug, Clone)]
 pub struct DurabilityReport {
     /// Mutation-path rows, one per persistence mode.
     pub mutation: Vec<MutationRow>,
+    /// Mutation-cost rows, one per relation size.
+    pub by_size: Vec<SizeRow>,
     /// Recovery rows, one per database size.
     pub recovery: Vec<RecoveryRow>,
 }
@@ -142,6 +164,14 @@ fn mutations_per_mode(cfg: &Config) -> usize {
         64
     } else {
         512
+    }
+}
+
+fn mutation_sizes(cfg: &Config) -> Vec<usize> {
+    if cfg.quick {
+        vec![1_000, 10_000]
+    } else {
+        vec![1_000, 10_000, 100_000]
     }
 }
 
@@ -215,6 +245,36 @@ fn mutation_row(mode: Persistence, count: usize) -> MutationRow {
     row
 }
 
+/// Times `count` memory-only `add`s to a relation preloaded with `size`
+/// tuples and indexed on its first column.
+fn size_row(size: usize, count: usize) -> SizeRow {
+    let catalog = Catalog::new();
+    catalog.create(DB).expect("create bench db");
+    catalog
+        .load(DB, REL, (0..size).map(tuple).collect())
+        .expect("preload");
+    // Built once, untimed; each add extends it into the next version.
+    let _ = catalog
+        .snapshot(DB)
+        .expect("bench db")
+        .db
+        .expect(REL)
+        .column_index(0);
+    let mut lat_us: Vec<f64> = Vec::with_capacity(count);
+    for i in size..size + count {
+        let t = Instant::now();
+        catalog.add(DB, REL, tuple(i)).expect("acknowledged add");
+        lat_us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    lat_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    SizeRow {
+        tuples: size,
+        mutations: count,
+        p50_us: percentile_us(&lat_us, 0.50),
+        p95_us: percentile_us(&lat_us, 0.95),
+    }
+}
+
 /// Populates a durable directory with `size` tuples (one wholesale load
 /// plus a tail of single adds, so recovery exercises both the snapshot
 /// and the replay path), then measures cold reopens.
@@ -276,18 +336,26 @@ fn recovery_row(size: usize) -> RecoveryRow {
     row
 }
 
-/// Runs both sweeps.
+/// Runs all three sweeps.
 pub fn durability_rows(cfg: &Config) -> DurabilityReport {
     let count = mutations_per_mode(cfg);
     let mutation = [Persistence::Off, Persistence::Wal, Persistence::WalFsync]
         .into_iter()
         .map(|mode| mutation_row(mode, count))
         .collect();
+    let by_size = mutation_sizes(cfg)
+        .into_iter()
+        .map(|size| size_row(size, count))
+        .collect();
     let recovery = recovery_sizes(cfg).into_iter().map(recovery_row).collect();
-    DurabilityReport { mutation, recovery }
+    DurabilityReport {
+        mutation,
+        by_size,
+        recovery,
+    }
 }
 
-/// Prints both sweeps as TSV (measurement stays separate so the harness
+/// Prints the three sweeps as TSV (measurement stays separate so the harness
 /// persists the JSON artifact before touching stdout).
 pub fn print_durability_rows(w: &mut impl std::io::Write, report: &DurabilityReport) {
     writeln!(
@@ -307,6 +375,16 @@ pub fn print_durability_rows(w: &mut impl std::io::Write, report: &DurabilityRep
             r.wal_appends,
             r.fsyncs,
             r.snapshot_writes
+        )
+        .expect("write");
+    }
+    writeln!(w).expect("write");
+    writeln!(w, "tuples\tmutations\tp50_us\tp95_us").expect("write");
+    for r in &report.by_size {
+        writeln!(
+            w,
+            "{}\t{}\t{:.1}\t{:.1}",
+            r.tuples, r.mutations, r.p50_us, r.p95_us
         )
         .expect("write");
     }
@@ -365,6 +443,22 @@ pub fn durability_report_json(cfg: &Config, report: &DurabilityReport) -> String
         ));
     }
     s.push_str("  ],\n");
+    s.push_str("  \"mutation_by_size\": [\n");
+    for (i, r) in report.by_size.iter().enumerate() {
+        s.push_str(&format!(
+            "    {{\"tuples\": {}, \"mutations\": {}, \"p50_us\": {:.1}, \"p95_us\": {:.1}}}{}\n",
+            r.tuples,
+            r.mutations,
+            r.p50_us,
+            r.p95_us,
+            if i + 1 == report.by_size.len() {
+                ""
+            } else {
+                ","
+            }
+        ));
+    }
+    s.push_str("  ],\n");
     s.push_str("  \"recovery\": [\n");
     for (i, r) in report.recovery.iter().enumerate() {
         s.push_str(&format!(
@@ -405,10 +499,21 @@ mod tests {
         assert!(report.mutation[1].wal_appends > 0, "wal mode must log");
         assert_eq!(report.mutation[1].fsyncs, 0, "wal mode never syncs");
         assert!(report.mutation[2].fsyncs > 0, "wal_fsync must sync");
+        let sizes: Vec<usize> = report.by_size.iter().map(|r| r.tuples).collect();
+        assert_eq!(sizes, [1_000, 10_000]);
+        for r in &report.by_size {
+            assert_eq!(r.mutations, mutations_per_mode(&cfg));
+            assert!(r.p95_us >= r.p50_us && r.p50_us > 0.0, "bad sample: {r:?}");
+        }
         assert_eq!(report.recovery.len(), 1);
         assert!(report.recovery[0].open_us > 0);
         let json = durability_report_json(&cfg, &report);
-        for key in ["\"mutation\": [", "\"recovery\": [", "\"cpus\":"] {
+        for key in [
+            "\"mutation\": [",
+            "\"mutation_by_size\": [",
+            "\"recovery\": [",
+            "\"cpus\":",
+        ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
         let mut tsv = Vec::new();

@@ -24,6 +24,7 @@ pub struct Relation {
     /// Lazily-built per-column secondary indexes. Cloning starts cold;
     /// in-place mutation ([`Relation::push`], [`Relation::dedup`]) clears
     /// it, so a cached index always describes the current tuples.
+    /// [`Relation::with_new_row`] hands its copy the built ones, extended.
     indexes: IndexCache,
 }
 
@@ -115,6 +116,42 @@ impl Relation {
         self.tuples.push(t);
         self.deduped = false;
         self.indexes = IndexCache::default();
+    }
+
+    /// Whether `row` is one of the tuples. Probes the most selective
+    /// index already built and scans when none is; never builds one.
+    pub fn contains_row(&self, row: &[Value]) -> bool {
+        if row.len() != self.arity() {
+            return false;
+        }
+        match self.indexes.most_selective() {
+            Some((col, ix)) => ix
+                .postings(row[col])
+                .iter()
+                .any(|&i| *self.tuples[i as usize] == *row),
+            None => self.tuples.iter().any(|t| **t == *row),
+        }
+    }
+
+    /// A copy of this relation with `t` appended. The caller guarantees
+    /// the relation is deduped and `t` absent, so the result is deduped
+    /// too. Every index built here is extended into the copy rather than
+    /// dropped; the cost is one copy of the rows and of those indexes.
+    pub fn with_new_row(&self, t: Tuple) -> Relation {
+        assert_eq!(t.len(), self.schema.arity());
+        assert!(self.deduped, "with_new_row needs a deduped relation");
+        debug_assert!(!self.contains_row(&t), "with_new_row needs an absent row");
+        let indexes = self.indexes.extended(&t, self.tuples.len() as u32);
+        let mut tuples = Vec::with_capacity(self.tuples.len() + 1);
+        tuples.extend_from_slice(&self.tuples);
+        tuples.push(t);
+        Relation {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            tuples,
+            deduped: true,
+            indexes,
+        }
     }
 
     /// Consumes the relation, yielding its rows.
@@ -319,6 +356,47 @@ mod tests {
         let (ix, built) = r.column_index(0);
         assert!(built);
         assert_eq!(ix.postings(1), &[0, 1]);
+    }
+
+    #[test]
+    fn contains_row_probes_or_scans_without_building() {
+        let r = Relation::from_distinct_rows(
+            "r",
+            schema2(),
+            vec![tuple(&[1, 2]), tuple(&[1, 3]), tuple(&[4, 2])],
+        );
+        for warm in [false, true] {
+            if warm {
+                let _ = r.column_index(1);
+            }
+            assert!(r.contains_row(&[1, 3]));
+            assert!(r.contains_row(&[4, 2]));
+            assert!(!r.contains_row(&[4, 3]));
+            assert!(!r.contains_row(&[1]));
+            assert_eq!(r.indexed_columns(), usize::from(warm));
+        }
+    }
+
+    #[test]
+    fn with_new_row_extends_warm_indexes_and_leaves_the_source_alone() {
+        let r = Relation::from_distinct_rows("r", schema2(), vec![tuple(&[1, 2]), tuple(&[3, 4])]);
+        let _ = r.column_index(0);
+        let grown = r.with_new_row(tuple(&[1, 5]));
+        assert_eq!(r.len(), 2);
+        assert_eq!(grown.tuples()[2], tuple(&[1, 5]));
+        assert!(grown.is_deduped());
+        assert_eq!(grown.name(), "r");
+        assert_eq!(grown.indexed_columns(), 1, "warm columns stay warm");
+        let (ix, built) = grown.column_index(0);
+        assert!(!built, "a warm column is extended, never rebuilt");
+        assert_eq!(ix.postings(1), &[0, 2]);
+        // A column that was cold stays cold and builds on first use.
+        let (ix1, built1) = grown.column_index(1);
+        assert!(built1);
+        assert_eq!(ix1.postings(5), &[2]);
+        // A cold relation grows a cold copy.
+        let cold = Relation::from_distinct_rows("c", schema2(), vec![tuple(&[1, 2])]);
+        assert_eq!(cold.with_new_row(tuple(&[2, 3])).indexed_columns(), 0);
     }
 
     #[test]

@@ -18,7 +18,15 @@
 //!   isomorphic databases share cache entries and a recovered database
 //!   resumes its pre-crash cache identity — a restart (or a re-load of
 //!   identical data under another name) does not re-plan or re-execute
-//!   anything the cache still holds.
+//!   anything the cache still holds. The fingerprint combines one
+//!   digest per relation, and the digests travel with the snapshot, so
+//!   a mutation rehashes only what it changes.
+//! * Writes cost their delta. An `add` probes for a duplicate through an
+//!   index already built, adjusts one relation digest by one tuple hash,
+//!   and extends that relation's built indexes into its successor
+//!   ([`Relation::with_new_row`]), so the next query starts warm. What
+//!   remains proportional to the relation is one copy of its row vector.
+//!   A `load` recomputes only the digest of the relation it replaces.
 //! * Reads are **copy-on-write snapshots**: [`Catalog::snapshot`] hands
 //!   back an `Arc<Database>` plus its version and fingerprint, and
 //!   in-flight requests keep that consistent snapshot for as long as
@@ -50,6 +58,7 @@
 //! columns by position and the fingerprint deliberately excludes them.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
@@ -110,33 +119,82 @@ impl fmt::Display for DbFingerprint {
 /// Content hash of `db`. Relations are visited in sorted name order and
 /// each relation's tuples are combined with an order-independent sum, so
 /// the result depends only on the database's logical content.
+///
+/// This is the from-scratch reference; the catalog arrives at the same
+/// bits incrementally (one relation digest adjusted per mutation).
 pub fn fingerprint_db(db: &Database) -> DbFingerprint {
+    combine(&digests_of(db))
+}
+
+/// One relation's share of a [`DbFingerprint`]: its arity, its tuple
+/// count, and per hash pass the wrapping sum of its tuple hashes. The
+/// sums are order-independent, so appending a tuple is one addition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct RelDigest {
+    arity: usize,
+    count: u64,
+    sums: [u64; 2],
+}
+
+impl RelDigest {
+    /// The digest of every tuple of `rel` (a bag counts duplicates).
+    fn of(rel: &Relation) -> RelDigest {
+        let mut digest = RelDigest {
+            arity: rel.arity(),
+            count: 0,
+            sums: [0; 2],
+        };
+        for t in rel.tuples() {
+            digest.add(t);
+        }
+        digest
+    }
+
+    /// Accounts for one more tuple.
+    fn add(&mut self, t: &[Value]) {
+        for (pass, sum) in self.sums.iter_mut().enumerate() {
+            let mut th = DefaultHasher::new();
+            (pass as u64).hash(&mut th);
+            t.hash(&mut th);
+            *sum = sum.wrapping_add(th.finish());
+        }
+        self.count += 1;
+    }
+}
+
+/// Folds per-relation digests, visited in ascending name order, into the
+/// database fingerprint. Two independently seeded passes, one per word.
+fn combine(digests: &Digests) -> DbFingerprint {
     let mut words = [0u64; 2];
     for (pass, word) in words.iter_mut().enumerate() {
         let mut h = DefaultHasher::new();
         // Domain-separate the two passes so they are independent.
         (0x7072_7062_6466_7030u64 + pass as u64).hash(&mut h);
-        let names = db.names();
-        names.len().hash(&mut h);
-        for name in names {
-            let rel = db.get(name).expect("name came from names()");
+        digests.len().hash(&mut h);
+        for (name, d) in digests {
             name.hash(&mut h);
-            rel.arity().hash(&mut h);
-            let mut sum = 0u64;
-            let mut count = 0u64;
-            for t in rel.tuples() {
-                let mut th = DefaultHasher::new();
-                (pass as u64).hash(&mut th);
-                t.hash(&mut th);
-                sum = sum.wrapping_add(th.finish());
-                count += 1;
-            }
-            count.hash(&mut h);
-            sum.hash(&mut h);
+            d.arity.hash(&mut h);
+            d.count.hash(&mut h);
+            d.sums[pass].hash(&mut h);
         }
         *word = h.finish();
     }
     DbFingerprint(((words[0] as u128) << 64) | words[1] as u128)
+}
+
+/// Per-relation digests of one published database, by relation name (a
+/// `BTreeMap`, so iteration is the sorted order [`combine`] needs).
+type Digests = BTreeMap<String, RelDigest>;
+
+/// The digest of every relation of `db`, from scratch.
+fn digests_of(db: &Database) -> Digests {
+    db.names()
+        .into_iter()
+        .map(|name| {
+            let rel = db.get(name).expect("name came from names()");
+            (name.to_string(), RelDigest::of(rel))
+        })
+        .collect()
 }
 
 /// A consistent read view of one database: the shared data plus the
@@ -151,6 +209,10 @@ pub struct DbSnapshot {
     pub version: DbVersion,
     /// Content hash of `db` — the caches' data-identity key.
     pub fingerprint: DbFingerprint,
+    /// The per-relation digests `fingerprint` combines. They travel with
+    /// `db`, so a writer starting from this snapshot adjusts exactly the
+    /// digests of the content it copies.
+    digests: Arc<Digests>,
 }
 
 /// One row of [`Catalog::list`] — what the `dbs` wire verb reports.
@@ -284,14 +346,10 @@ impl Catalog {
             let mut map = catalog.map.lock().expect("catalog map lock");
             for db in recovered {
                 let database = catalog.rebuild(db.contents);
-                let fingerprint = fingerprint_db(&database);
+                let digests = digests_of(&database);
                 map.insert(
                     db.name,
-                    DbSnapshot {
-                        db: Arc::new(database),
-                        version: DbVersion(db.version),
-                        fingerprint,
-                    },
+                    snapshot_of(Arc::new(database), Arc::new(digests), DbVersion(db.version)),
                 );
             }
         }
@@ -350,7 +408,8 @@ impl Catalog {
         let _w = self.write.lock().expect("catalog write lock");
         let version = self.next_version();
         self.persist(|p| p.record_insert(&name, &contents_of(&db), version.0))?;
-        self.publish_at(&name, db, version);
+        let digests = digests_of(&db);
+        self.publish_at(&name, Arc::new(db), Arc::new(digests), version);
         Ok(version)
     }
 
@@ -368,7 +427,7 @@ impl Catalog {
         }
         let version = self.next_version();
         self.persist(|p| p.record_create(name, version.0))?;
-        self.publish_at(name, Database::new(), version);
+        self.publish_at(name, Arc::new(Database::new()), Arc::default(), version);
         Ok(version)
     }
 
@@ -438,15 +497,23 @@ impl Catalog {
         // The log stores the post-dedup rows in relation order, so replay
         // reconstructs byte-identical scans.
         self.persist(|p| p.record_load(db, rel, arity, relation.tuples(), version.0))?;
+        let mut digests = (*current.digests).clone();
+        digests.insert(rel.to_string(), RelDigest::of(&relation));
         let mut next = (*current.db).clone();
         next.add(relation);
-        self.publish_at(db, next, version);
+        self.publish_at(db, Arc::new(next), Arc::new(digests), version);
         Ok(version)
     }
 
     /// Appends one tuple to `rel` in database `db`, creating the relation
     /// (with the tuple's arity) if it does not exist yet. Returns the
     /// database's new version.
+    ///
+    /// The cost is in the delta, not the database: a membership probe
+    /// finds duplicates, one digest absorbs the new tuple, and the built
+    /// indexes of `rel` are extended into its successor. What remains is
+    /// one copy of `rel`'s row vector. A relation published undeduped
+    /// (by [`insert`](Catalog::insert)) is deduped once, on its first add.
     pub fn add(&self, db: &str, rel: &str, tuple: Box<[Value]>) -> Result<DbVersion, CatalogError> {
         let _w = self.write.lock().expect("catalog write lock");
         let current = self
@@ -463,38 +530,64 @@ impl Catalog {
         }
         let version = self.next_version();
         self.persist(|p| p.record_add(db, rel, &tuple, version.0))?;
+        let mut digests = (*current.digests).clone();
         let relation = match current.db.get(rel) {
-            Some(existing) => {
-                let mut grown = (**existing).clone();
-                grown.push(tuple);
-                grown.dedup();
-                grown
+            Some(existing) if existing.is_deduped() => {
+                if existing.contains_row(&tuple) {
+                    // A duplicate changes nothing but the version.
+                    self.publish_at(db, current.db.clone(), current.digests.clone(), version);
+                    return Ok(version);
+                }
+                digests
+                    .get_mut(rel)
+                    .expect("every published relation has a digest")
+                    .add(&tuple);
+                existing.with_new_row(tuple)
+            }
+            Some(bag) => {
+                let mut set = (**bag).clone();
+                set.dedup();
+                if !set.contains_row(&tuple) {
+                    set = set.with_new_row(tuple);
+                }
+                digests.insert(rel.to_string(), RelDigest::of(&set));
+                set
             }
             None => {
                 let arity = tuple.len() as u32;
                 let base = self.next_col.fetch_add(arity, Ordering::Relaxed);
                 let schema = Schema::new((0..arity).map(|i| AttrId(base + i)).collect());
-                Relation::new(rel, schema, vec![tuple])
+                let fresh = Relation::from_distinct_rows(rel, schema, vec![tuple]);
+                digests.insert(rel.to_string(), RelDigest::of(&fresh));
+                fresh
             }
         };
         let mut next = (*current.db).clone();
         next.add(relation);
-        self.publish_at(db, next, version);
+        self.publish_at(db, Arc::new(next), Arc::new(digests), version);
         Ok(version)
     }
 
-    /// Swaps in `next` under `version`, fingerprinting its content.
-    /// Caller holds `write` and has already persisted the mutation.
-    fn publish_at(&self, name: &str, next: Database, version: DbVersion) {
-        let fingerprint = fingerprint_db(&next);
-        self.map.lock().expect("catalog map lock").insert(
-            name.to_string(),
-            DbSnapshot {
-                db: Arc::new(next),
-                version,
-                fingerprint,
-            },
+    /// Swaps in `next` under `version`, with the fingerprint `digests`
+    /// combine to. Caller holds `write` and has already persisted the
+    /// mutation.
+    fn publish_at(
+        &self,
+        name: &str,
+        next: Arc<Database>,
+        digests: Arc<Digests>,
+        version: DbVersion,
+    ) {
+        let snap = snapshot_of(next, digests, version);
+        debug_assert_eq!(
+            snap.fingerprint,
+            fingerprint_db(&snap.db),
+            "incremental fingerprint drifted from the reference"
         );
+        self.map
+            .lock()
+            .expect("catalog map lock")
+            .insert(name.to_string(), snap);
     }
 
     /// Database names, sorted.
@@ -537,6 +630,17 @@ impl Catalog {
     /// True when the catalog holds no databases.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// The snapshot of `db` at `version`, fingerprinted from `digests`.
+fn snapshot_of(db: Arc<Database>, digests: Arc<Digests>, version: DbVersion) -> DbSnapshot {
+    let fingerprint = combine(&digests);
+    DbSnapshot {
+        db,
+        version,
+        fingerprint,
+        digests,
     }
 }
 
@@ -796,6 +900,181 @@ mod tests {
         let snap = c.snapshot(DEFAULT_DB).unwrap();
         assert_eq!(snap.fingerprint, fp, "fingerprint ignores column ids");
         assert_eq!(snap.db.expect("edge").len(), 1);
+    }
+
+    /// The fingerprint of [`golden_db`], computed by the from-scratch
+    /// hash before the catalog fingerprinted incrementally. Pinned so
+    /// cache identity (and recovered databases' cache keys) survive.
+    const GOLDEN: u128 = 0x091e_de93_31c9_c07c_6953_a0c2_661a_d202;
+    const GOLDEN_EMPTY: u128 = 0x34ab_35a1_ef51_fae6_e10b_dac4_4fa5_50cc;
+
+    fn golden_db() -> Database {
+        let mut db = Database::new();
+        db.add(Relation::new(
+            "edge",
+            Schema::new(vec![AttrId(1), AttrId(2)]),
+            vec![tuple(&[1, 2]), tuple(&[2, 3]), tuple(&[3, 1])],
+        ));
+        db.add(Relation::new(
+            "mark",
+            Schema::new(vec![AttrId(3)]),
+            vec![tuple(&[7])],
+        ));
+        db
+    }
+
+    #[test]
+    fn fingerprint_bits_are_pinned() {
+        assert_eq!(fingerprint_db(&golden_db()), DbFingerprint(GOLDEN));
+        assert_eq!(
+            fingerprint_db(&Database::new()),
+            DbFingerprint(GOLDEN_EMPTY)
+        );
+        // The incremental path lands on the same bits.
+        let c = Catalog::new();
+        c.create("g").unwrap();
+        assert_eq!(
+            c.snapshot("g").unwrap().fingerprint,
+            DbFingerprint(GOLDEN_EMPTY)
+        );
+        c.add("g", "edge", tuple(&[2, 3])).unwrap();
+        c.load("g", "mark", vec![tuple(&[7]), tuple(&[7])]).unwrap();
+        c.add("g", "edge", tuple(&[3, 1])).unwrap();
+        c.add("g", "edge", tuple(&[1, 2])).unwrap();
+        c.add("g", "edge", tuple(&[3, 1])).unwrap();
+        assert_eq!(c.snapshot("g").unwrap().fingerprint, DbFingerprint(GOLDEN));
+    }
+
+    #[test]
+    fn add_extends_warm_indexes_and_republishes_duplicates() {
+        let c = Catalog::new();
+        c.create("g").unwrap();
+        c.load("g", "e", vec![tuple(&[1, 2]), tuple(&[2, 3])])
+            .unwrap();
+        let _ = c.snapshot("g").unwrap().db.expect("e").column_index(0);
+        c.add("g", "e", tuple(&[3, 4])).unwrap();
+        let grown = c.snapshot("g").unwrap();
+        let (ix, built) = grown.db.expect("e").column_index(0);
+        assert!(!built, "the warm index was extended, not dropped");
+        assert_eq!(ix.postings(3), &[2]);
+        // A duplicate republishes the same database under a new version.
+        c.add("g", "e", tuple(&[2, 3])).unwrap();
+        let dup = c.snapshot("g").unwrap();
+        assert!(dup.version > grown.version);
+        assert!(Arc::ptr_eq(&dup.db, &grown.db));
+        assert_eq!(dup.fingerprint, grown.fingerprint);
+    }
+
+    #[test]
+    fn first_add_to_a_bag_dedups_it_once() {
+        let c = Catalog::new();
+        let mut db = Database::new();
+        db.add(Relation::new(
+            "b",
+            Schema::new(vec![AttrId(1)]),
+            vec![tuple(&[1]), tuple(&[1]), tuple(&[2])],
+        ));
+        c.insert("g", db).unwrap();
+        let bag = c.snapshot("g").unwrap();
+        c.add("g", "b", tuple(&[2])).unwrap();
+        let set = c.snapshot("g").unwrap();
+        assert_eq!(set.db.expect("b").tuples(), &[tuple(&[1]), tuple(&[2])]);
+        assert!(set.db.expect("b").is_deduped());
+        assert_ne!(
+            set.fingerprint, bag.fingerprint,
+            "the bag's duplicates are gone"
+        );
+        c.add("g", "b", tuple(&[3])).unwrap();
+        assert_eq!(c.snapshot("g").unwrap().db.expect("b").len(), 3);
+    }
+
+    /// Every published snapshot's fingerprint equals the reference hash
+    /// of its database.
+    fn assert_consistent(c: &Catalog) {
+        for name in c.names() {
+            let snap = c.snapshot(&name).unwrap();
+            assert_eq!(snap.fingerprint, fingerprint_db(&snap.db), "db {name}");
+        }
+    }
+
+    /// Applies one generated step; refused steps (arity clashes, unknown
+    /// or existing databases) are part of the sequence too.
+    fn apply(c: &Catalog, (op, d, r, v): (u8, usize, usize, u32)) {
+        let db = ["d0", "d1"][d];
+        let rel = ["r0", "r1", "bag"][r];
+        let row = |x: u32| -> Box<[Value]> {
+            match rel {
+                "r1" => tuple(&[x % 3, (x + 1) % 3]),
+                _ => tuple(&[x % 3]),
+            }
+        };
+        let _ = match op {
+            0 => c.create(db).map(drop),
+            1 => c.load(db, rel, vec![row(v), row(v + 1), row(v)]).map(drop),
+            2 | 3 => c.add(db, rel, row(v)).map(drop),
+            4 => {
+                let mut bag = Database::new();
+                bag.add(Relation::new(
+                    "bag",
+                    Schema::new(vec![AttrId(1)]),
+                    vec![tuple(&[v]), tuple(&[v]), tuple(&[v + 1])],
+                ));
+                c.insert(db, bag).map(drop)
+            }
+            _ => c.drop_db(db),
+        };
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(32))]
+        /// Mutation sequences on a memory and a durable catalog keep every
+        /// snapshot's incremental fingerprint equal to the reference, the
+        /// two catalogs agree, and a reopened durable catalog agrees too.
+        #[test]
+        fn incremental_fingerprint_matches_the_reference(
+            steps in proptest::collection::vec((0u8..6, 0usize..2, 0usize..3, 0u32..4), 1..40),
+        ) {
+            let dir = tmpdir(&format!("prop-{}", steps.len()));
+            let options = StoreOptions {
+                sync: ppr_durability::SyncPolicy::Never,
+                ..StoreOptions::default()
+            };
+            let memory = Catalog::new();
+            let live: Vec<(String, DbFingerprint, bool)> = {
+                let (durable, _) = Catalog::open_with(&dir, options).unwrap();
+                for &step in &steps {
+                    apply(&memory, step);
+                    apply(&durable, step);
+                    assert_consistent(&memory);
+                    assert_consistent(&durable);
+                    proptest::prop_assert_eq!(memory.list(), durable.list());
+                }
+                durable
+                    .names()
+                    .into_iter()
+                    .map(|name| {
+                        let snap = durable.snapshot(&name).unwrap();
+                        let sets = snap
+                            .db
+                            .names()
+                            .iter()
+                            .all(|r| snap.db.expect(r).is_deduped());
+                        (name, snap.fingerprint, sets)
+                    })
+                    .collect()
+            };
+            let (reopened, _) = Catalog::open_with(&dir, options).unwrap();
+            assert_consistent(&reopened);
+            proptest::prop_assert_eq!(reopened.names().len(), live.len());
+            for (name, fingerprint, sets) in live {
+                // Recovery dedups, so only a database without bags keeps
+                // its exact identity.
+                if sets {
+                    proptest::prop_assert_eq!(reopened.snapshot(&name).unwrap().fingerprint, fingerprint);
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -1080,9 +1080,11 @@ fn process(
     // The streaming executor (`ExecMode::Streaming`, the `exec::execute`
     // default): per-column indexes are built lazily and cached on the
     // pinned snapshot's `Arc`-shared relations, so every later request
-    // against the same catalog version probes them for free —
-    // copy-on-write catalog updates clone the relation and start cold,
-    // which keeps sharing sound.
+    // against the same catalog version probes them for free. Catalog
+    // writes never touch a published relation: an `add` hands its new
+    // relation the built indexes extended by the one row
+    // (`Relation::with_new_row`), so the next version starts warm, and a
+    // `load` starts cold.
     let analyze = request.explain == ExplainMode::Analyze;
     let profile = if analyze || shared.profile_ops {
         ProfileMode::On

@@ -57,6 +57,10 @@ pub struct ServiceMetrics {
     /// because the structure-keyed [`crate::DecompCache`] supplied the
     /// variable order as a pass hint.
     pub decomp_hits: Arc<Counter>,
+    /// `ppr_catalog_add_us` — wall time of each `Catalog::add` behind
+    /// the `add` verb, recorded by the connection layer around the call
+    /// (success or refusal), under both connection backends.
+    pub catalog_add_us: Arc<Histogram>,
     /// `ppr_op_rows_total{op=…}` — rows emitted per physical operator
     /// kind, indexed by `OpKind as usize`. Only populated when operator
     /// profiling runs ([`crate::EngineConfig::profile_ops`] or
@@ -133,6 +137,10 @@ impl ServiceMetrics {
                 "ppr_decomp_cache_hits_total",
                 "Bucket decompositions skipped via the structure-keyed order cache",
             ),
+            catalog_add_us: registry.histogram(
+                "ppr_catalog_add_us",
+                "Catalog add latency in microseconds (the add verb's write path)",
+            ),
             op_rows,
             op_time_us,
             slowlog: Arc::new(SlowLog::new(if slowlog_capacity == 0 {
@@ -204,6 +212,7 @@ mod tests {
             "ppr_index_builds_total",
             "ppr_passes_run_total",
             "ppr_decomp_cache_hits_total",
+            "ppr_catalog_add_us",
             "ppr_op_rows_total",
             "ppr_op_time_us",
         ] {

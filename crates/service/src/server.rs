@@ -531,9 +531,9 @@ pub(crate) fn dispatch_command(
             Dispatch::Explain(request)
         }
         // Catalog verbs run on the connection's own thread (or the event
-        // loop), not the worker queue: mutations are O(tiny database),
-        // and admission control exists to bound query execution, not
-        // metadata traffic.
+        // loop), not the worker queue: an `add` costs its delta plus one
+        // copy of the relation's rows (see `Catalog::add`), and admission
+        // control exists to bound query execution, not metadata traffic.
         Command::Use(db) => {
             let ack = match engine.catalog().snapshot(&db) {
                 Some(snap) => {
@@ -584,9 +584,13 @@ pub(crate) fn dispatch_command(
             Dispatch::Reply(protocol::encode_ack(&ack))
         }
         Command::Add { db, rel, tuple } => {
-            let ack = engine
-                .catalog()
-                .add(&db, &rel, tuple)
+            let started = Instant::now();
+            let added = engine.catalog().add(&db, &rel, tuple);
+            engine
+                .metrics()
+                .catalog_add_us
+                .record(started.elapsed().as_micros() as u64);
+            let ack = added
                 .map(|version| Ack {
                     db,
                     version: Some(version),

@@ -8,7 +8,7 @@
 
 use projection_pushing::prelude::*;
 use projection_pushing::query::{parse_query, Database};
-use projection_pushing::relalg::ExecStats;
+use projection_pushing::relalg::{AttrId, ExecStats, Relation, Schema};
 use projection_pushing::service::engine::EngineStats;
 use projection_pushing::workload::edge_relation;
 use projection_pushing::{service, Eval};
@@ -193,6 +193,109 @@ fn catalog_mutations_invalidate_result_cache_over_the_wire() {
 
     server.shutdown();
     engine.shutdown();
+}
+
+/// Length of the `succ` chain in [`wire_matches_eval_through_writes`]:
+/// just under the size where a column index switches from the hashed
+/// to the sorted layout, so the adds cross it.
+const CHAIN: u32 = 4090;
+
+/// Reads interleaved with single-tuple writes: after every `add`, each
+/// method's wire answer equals library evaluation on the catalog's
+/// current snapshot, and no reply rebuilt an index — the adds extended
+/// the warm `succ` and `mark` indexes instead of dropping them, across
+/// the hashed-to-sorted switch. Runs under both connection backends,
+/// which also both record the `ppr_catalog_add_us` histogram.
+#[test]
+fn wire_matches_eval_through_writes() {
+    // The path reaches a `mark` tuple only once the adds have grown the
+    // chain that far, so the answers change along the way.
+    const PATH: &str = "q(a0, a1) :- succ(a0, a1), succ(a1, a2), mark(a2)";
+    const ADDS: u32 = 12;
+    for model in [
+        service::ConnectionModel::EventLoop,
+        service::ConnectionModel::Threads,
+    ] {
+        let mut db = Database::new();
+        db.add(Relation::from_distinct_rows(
+            "succ",
+            Schema::new(vec![AttrId(1), AttrId(2)]),
+            (0..CHAIN)
+                .map(|i| vec![i, i + 1].into_boxed_slice())
+                .collect(),
+        ));
+        db.add(Relation::from_distinct_rows(
+            "mark",
+            Schema::new(vec![AttrId(3)]),
+            vec![
+                vec![CHAIN + 2].into_boxed_slice(),
+                vec![CHAIN + 9].into_boxed_slice(),
+            ],
+        ));
+        let engine = Engine::start(Catalog::with_default(db), EngineConfig::default());
+        let mut server = service::Server::builder()
+            .addr("127.0.0.1:0")
+            .engine(engine.handle())
+            .connection_model(model)
+            .start()
+            .expect("ephemeral bind");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        let query = parse_query(PATH).unwrap();
+        let catalog = engine.handle().catalog();
+        // Warm-up: every method builds the indexes it probes.
+        let warm_builds: u64 = all_methods()
+            .into_iter()
+            .map(|m| {
+                client
+                    .run(&Request::new(PATH, m))
+                    .unwrap()
+                    .stats
+                    .index_builds
+            })
+            .sum();
+        assert!(warm_builds > 0, "the path query probes indexes");
+        let mut answers = std::collections::BTreeSet::new();
+        for k in 0..ADDS {
+            let v = CHAIN + k;
+            client
+                .add(
+                    service::DEFAULT_DB,
+                    "succ",
+                    vec![v, v + 1].into_boxed_slice(),
+                )
+                .expect("add");
+            let snap = catalog.snapshot(service::DEFAULT_DB).unwrap();
+            assert_eq!(snap.db.expect("succ").len(), (v + 1) as usize);
+            for method in all_methods() {
+                let response = client.run(&Request::new(PATH, method)).unwrap();
+                assert!(!response.result_cache_hit, "every add changes the content");
+                let (expected, _) = Eval::new(&query, &snap.db).method(method).run().unwrap();
+                assert_eq!(
+                    response.rows,
+                    expected.tuples().to_vec(),
+                    "{model:?}, add {k}: {} over the wire differs from Eval",
+                    method.name()
+                );
+                assert_eq!(
+                    response.stats.index_builds,
+                    0,
+                    "{model:?}, add {k}: {} rebuilt an index",
+                    method.name()
+                );
+                answers.insert(response.rows.len());
+            }
+        }
+        assert!(answers.len() > 1, "the adds changed the answers");
+        assert!(
+            engine
+                .handle()
+                .render_prometheus()
+                .contains(&format!("ppr_catalog_add_us_count {ADDS}\n")),
+            "{model:?}: every add is timed"
+        );
+        server.shutdown();
+        engine.shutdown();
+    }
 }
 
 #[test]
