@@ -16,8 +16,9 @@
 //!    request plans and executes.
 //! 3. **warm** (timed) — the cold requests replayed verbatim, so rows
 //!    come straight from the result cache.
-//! 4. **warm_plan** (timed) — a catalog mutation bumps the content
-//!    fingerprint (invalidating every plan- and result-cache entry), then
+//! 4. **warm_plan** (timed) — a catalog mutation of `edge`, which every
+//!    query in the mix reads, changes their read-set fingerprints
+//!    (invalidating every plan- and result-cache entry), then
 //!    the cold requests are replayed once more: every request re-plans
 //!    and re-executes, but bucket methods skip re-decomposition because
 //!    the structure-keyed [`ppr_service::DecompCache`] still holds their

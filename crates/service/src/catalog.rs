@@ -14,13 +14,14 @@
 //! * Every snapshot also carries a [`DbFingerprint`]: a 128-bit
 //!   **content hash** of the database (relation names, arities, and
 //!   tuple *sets* — independent of load order, database name, and
-//!   internal column ids). The result and plan caches key on it, so
-//!   isomorphic databases share cache entries and a recovered database
-//!   resumes its pre-crash cache identity — a restart (or a re-load of
-//!   identical data under another name) does not re-plan or re-execute
-//!   anything the cache still holds. The fingerprint combines one
-//!   digest per relation, and the digests travel with the snapshot, so
-//!   a mutation rehashes only what it changes.
+//!   internal column ids). The fingerprint combines one digest per
+//!   relation, and the digests travel with the snapshot, so a mutation
+//!   rehashes only what it changes. The result and plan caches key on
+//!   the same fold over just the relations a query reads
+//!   ([`DbSnapshot::read_set_fingerprint`]), so content-identical data
+//!   shares cache entries, a recovered database resumes its pre-crash
+//!   cache identity, and a write leaves valid every entry whose query
+//!   does not read the written relation.
 //! * Writes cost their delta. An `add` probes for a duplicate through an
 //!   index already built, adjusts one relation digest by one tuple hash,
 //!   and extends that relation's built indexes into its successor
@@ -84,8 +85,8 @@ const WIRE_COL_BASE: u32 = 20_000_000;
 /// A monotonically increasing database version. Bumped by every mutation
 /// and unique across the catalog's lifetime (two live databases never
 /// share a version). Durable catalogs persist it, so versions keep
-/// increasing across restarts. The caches key on [`DbFingerprint`], not
-/// on this — the version is the *observable* mutation counter.
+/// increasing across restarts. The caches key on content hashes, not on
+/// this — the version is the *observable* mutation counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct DbVersion(pub u64);
 
@@ -123,7 +124,7 @@ impl fmt::Display for DbFingerprint {
 /// This is the from-scratch reference; the catalog arrives at the same
 /// bits incrementally (one relation digest adjusted per mutation).
 pub fn fingerprint_db(db: &Database) -> DbFingerprint {
-    combine(&digests_of(db))
+    combine(digests_of(db).iter())
 }
 
 /// One relation's share of a [`DbFingerprint`]: its arity, its tuple
@@ -162,24 +163,34 @@ impl RelDigest {
     }
 }
 
-/// Folds per-relation digests, visited in ascending name order, into the
-/// database fingerprint. Two independently seeded passes, one per word.
-fn combine(digests: &Digests) -> DbFingerprint {
-    let mut words = [0u64; 2];
-    for (pass, word) in words.iter_mut().enumerate() {
+/// Folds per-relation digests into a fingerprint. The caller yields each
+/// relation once, in ascending name order: all of a database's relations
+/// for its [`DbFingerprint`], a query's read set for its cache key. Two
+/// independently seeded hashers, one per word.
+fn combine<'a, I>(digests: I) -> DbFingerprint
+where
+    I: Iterator<Item = (&'a String, &'a RelDigest)> + Clone,
+{
+    // Domain-separate the two passes so they are independent.
+    let mut hashers = [0u64, 1].map(|pass| {
         let mut h = DefaultHasher::new();
-        // Domain-separate the two passes so they are independent.
-        (0x7072_7062_6466_7030u64 + pass as u64).hash(&mut h);
-        digests.len().hash(&mut h);
-        for (name, d) in digests {
-            name.hash(&mut h);
-            d.arity.hash(&mut h);
-            d.count.hash(&mut h);
-            d.sums[pass].hash(&mut h);
-        }
-        *word = h.finish();
+        (0x7072_7062_6466_7030u64 + pass).hash(&mut h);
+        h
+    });
+    let len = digests.clone().count();
+    for h in &mut hashers {
+        len.hash(h);
     }
-    DbFingerprint(((words[0] as u128) << 64) | words[1] as u128)
+    for (name, d) in digests {
+        for (h, sum) in hashers.iter_mut().zip(d.sums) {
+            name.hash(h);
+            d.arity.hash(h);
+            d.count.hash(h);
+            sum.hash(h);
+        }
+    }
+    let [hi, lo] = hashers.map(|h| h.finish());
+    DbFingerprint(((hi as u128) << 64) | lo as u128)
 }
 
 /// Per-relation digests of one published database, by relation name (a
@@ -207,12 +218,34 @@ pub struct DbSnapshot {
     pub db: Arc<Database>,
     /// The version the snapshot was published under.
     pub version: DbVersion,
-    /// Content hash of `db` — the caches' data-identity key.
+    /// Content hash of `db`: [`DbSnapshot::read_set_fingerprint`] over
+    /// every relation.
     pub fingerprint: DbFingerprint,
     /// The per-relation digests `fingerprint` combines. They travel with
     /// `db`, so a writer starting from this snapshot adjusts exactly the
     /// digests of the content it copies.
     digests: Arc<Digests>,
+}
+
+impl DbSnapshot {
+    /// The content hash of just the relations named in `relations` — the
+    /// plan and result caches' data key. Each relation counts once, in
+    /// name order, whatever the order and repetition of `relations`;
+    /// names this database lacks are ignored. Over every relation name it
+    /// equals [`DbSnapshot::fingerprint`], so a write to a relation
+    /// outside the set leaves the key, and the cache entries under it,
+    /// valid. Allocation-free: it walks the sorted digests and keeps
+    /// those some name matches.
+    pub fn read_set_fingerprint<'a, I>(&self, relations: I) -> DbFingerprint
+    where
+        I: Iterator<Item = &'a str> + Clone,
+    {
+        combine(
+            self.digests
+                .iter()
+                .filter(move |(name, _)| relations.clone().any(|r| r == name.as_str())),
+        )
+    }
 }
 
 /// One row of [`Catalog::list`] — what the `dbs` wire verb reports.
@@ -635,7 +668,7 @@ impl Catalog {
 
 /// The snapshot of `db` at `version`, fingerprinted from `digests`.
 fn snapshot_of(db: Arc<Database>, digests: Arc<Digests>, version: DbVersion) -> DbSnapshot {
-    let fingerprint = combine(&digests);
+    let fingerprint = combine(digests.iter());
     DbSnapshot {
         db,
         version,
@@ -945,6 +978,65 @@ mod tests {
         assert_eq!(c.snapshot("g").unwrap().fingerprint, DbFingerprint(GOLDEN));
     }
 
+    /// `names` as the iterator [`DbSnapshot::read_set_fingerprint`] takes.
+    fn read_set(snap: &DbSnapshot, names: &[&str]) -> DbFingerprint {
+        snap.read_set_fingerprint(names.iter().copied())
+    }
+
+    /// The reference for a read-set key: the from-scratch hash of `db`
+    /// cut down to the relations named in `names`.
+    fn restricted(db: &Database, names: &[&str]) -> DbFingerprint {
+        let mut cut = Database::new();
+        for name in names {
+            if let Some(rel) = db.get(name) {
+                cut.add((**rel).clone());
+            }
+        }
+        fingerprint_db(&cut)
+    }
+
+    #[test]
+    fn read_set_over_every_relation_is_the_fingerprint() {
+        let c = Catalog::new();
+        c.insert("g", golden_db()).unwrap();
+        let snap = c.snapshot("g").unwrap();
+        let all = read_set(&snap, &["edge", "mark"]);
+        assert_eq!(all, DbFingerprint(GOLDEN));
+        assert_eq!(all, snap.fingerprint);
+        assert_eq!(all, fingerprint_db(&snap.db));
+        // Name order and repetition do not matter; unknown names are
+        // ignored.
+        assert_eq!(read_set(&snap, &["mark", "edge", "edge", "nope"]), all);
+        assert_eq!(
+            read_set(&snap, &["mark", "mark"]),
+            read_set(&snap, &["mark"])
+        );
+        assert_eq!(read_set(&snap, &[]), DbFingerprint(GOLDEN_EMPTY));
+        // A proper subset is the hash of that part of the database.
+        assert_eq!(read_set(&snap, &["edge"]), restricted(&snap.db, &["edge"]));
+        assert_ne!(read_set(&snap, &["edge"]), all);
+    }
+
+    #[test]
+    fn read_set_changes_only_with_the_relations_it_names() {
+        let c = Catalog::new();
+        c.insert("g", golden_db()).unwrap();
+        let key = |c: &Catalog| read_set(&c.snapshot("g").unwrap(), &["edge"]);
+        let before = key(&c);
+        // Writes outside the set: an add, a new relation, a replacing load.
+        c.add("g", "mark", tuple(&[8])).unwrap();
+        c.add("g", "fresh", tuple(&[1, 1])).unwrap();
+        c.load("g", "mark", vec![tuple(&[9])]).unwrap();
+        assert_eq!(key(&c), before, "unread relations do not move the key");
+        assert_ne!(c.snapshot("g").unwrap().fingerprint, DbFingerprint(GOLDEN));
+        // A duplicate inside the set is no content change either.
+        c.add("g", "edge", tuple(&[1, 2])).unwrap();
+        assert_eq!(key(&c), before);
+        // A new tuple inside the set is.
+        c.add("g", "edge", tuple(&[1, 3])).unwrap();
+        assert_ne!(key(&c), before);
+    }
+
     #[test]
     fn add_extends_warm_indexes_and_republishes_duplicates() {
         let c = Catalog::new();
@@ -989,12 +1081,30 @@ mod tests {
     }
 
     /// Every published snapshot's fingerprint equals the reference hash
-    /// of its database.
+    /// of its database, and so does its read-set key over every relation.
     fn assert_consistent(c: &Catalog) {
         for name in c.names() {
             let snap = c.snapshot(&name).unwrap();
             assert_eq!(snap.fingerprint, fingerprint_db(&snap.db), "db {name}");
+            assert_eq!(read_set(&snap, &snap.db.names()), snap.fingerprint);
         }
+    }
+
+    /// Per database, the read-set key over the relations a `load` or
+    /// `add` step leaves alone: every relation of the other database, and
+    /// all but the written one of its own.
+    fn untouched_keys(c: &Catalog, (_, d, r, _): (u8, usize, usize, u32)) -> Vec<DbFingerprint> {
+        let mut others = vec!["r0", "r1", "bag"];
+        others.remove(r);
+        ["d0", "d1"]
+            .into_iter()
+            .enumerate()
+            .map(|(i, db)| match c.snapshot(db) {
+                Some(snap) if i == d => read_set(&snap, &others),
+                Some(snap) => snap.fingerprint,
+                None => DbFingerprint::default(),
+            })
+            .collect()
     }
 
     /// Applies one generated step; refused steps (arity clashes, unknown
@@ -1030,6 +1140,8 @@ mod tests {
         /// Mutation sequences on a memory and a durable catalog keep every
         /// snapshot's incremental fingerprint equal to the reference, the
         /// two catalogs agree, and a reopened durable catalog agrees too.
+        /// A `load` or `add` leaves the read-set key of every other
+        /// relation set unchanged.
         #[test]
         fn incremental_fingerprint_matches_the_reference(
             steps in proptest::collection::vec((0u8..6, 0usize..2, 0usize..3, 0u32..4), 1..40),
@@ -1043,8 +1155,14 @@ mod tests {
             let live: Vec<(String, DbFingerprint, bool)> = {
                 let (durable, _) = Catalog::open_with(&dir, options).unwrap();
                 for &step in &steps {
+                    let before = untouched_keys(&memory, step);
                     apply(&memory, step);
                     apply(&durable, step);
+                    // A load or add moves no read-set key that avoids the
+                    // relation it writes (a refused one moves nothing).
+                    if matches!(step.0, 1..=3) {
+                        proptest::prop_assert_eq!(untouched_keys(&memory, step), before);
+                    }
                     assert_consistent(&memory);
                     assert_consistent(&durable);
                     proptest::prop_assert_eq!(memory.list(), durable.list());

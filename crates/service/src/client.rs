@@ -83,7 +83,8 @@ impl Client {
 
     /// Bulk-loads one relation of `db`, replacing any existing relation
     /// of that name, and returns the database's new version. Every
-    /// mutation bumps the version, invalidating cached plans and results.
+    /// mutation bumps the version; cached plans and results of queries
+    /// that read a changed relation are invalidated.
     pub fn load(
         &mut self,
         db: &str,
@@ -661,7 +662,7 @@ mod tests {
         let explicit = other.run(&req.clone().on("graphs")).unwrap();
         assert_eq!(explicit.rows, triangle.rows);
 
-        // Mutations invalidate by version bump.
+        // A write to `e`, which the query reads, invalidates its rows.
         let v3 = client
             .add("graphs", "e", vec![9, 9].into_boxed_slice())
             .unwrap();

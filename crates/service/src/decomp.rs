@@ -3,13 +3,14 @@
 //! Bucket elimination's expensive planning step is *decomposition*:
 //! choosing the variable elimination order (MCS, min-degree, or min-fill
 //! over the join graph). The [`crate::cache::PlanCache`] already reuses
-//! whole plans, but its key includes the database content fingerprint —
-//! plans embed `Arc<Relation>` scans, so any catalog mutation rightly
-//! invalidates them. The variable order has no such dependency: it is a
+//! whole plans, but its key includes the content fingerprint of the
+//! relations the query reads — plans embed `Arc<Relation>` scans, so a
+//! write to one of them rightly invalidates them. The variable order has
+//! no such dependency: it is a
 //! function of the query's *structure* alone. This cache exploits that
 //! asymmetry. The key is [`DecompKey`]: query [`Fingerprint`] ×
 //! [`OrderHeuristic`] × planner seed — deliberately **without** the data
-//! fingerprint, so a catalog mutation that forces a re-plan still skips
+//! fingerprint, so a write that forces a re-plan still skips
 //! re-decomposition for every structurally repeated query.
 //!
 //! Variable orders are stored *rank-encoded*: a cached entry holds the

@@ -18,15 +18,20 @@
 //!    versions beside it and never tear an evaluation.
 //! 3. **Parse + identity** — parse the Datalog-ish text, check every atom
 //!    against the snapshot, compute the canonical
-//!    [`ppr_query::QueryIdentity`] once for both caches.
-//! 4. **Result cache** — a hit on `(db, version, fingerprint, method,
-//!    seed)` returns the cached rows with **zero execution**; any catalog
-//!    mutation bumped the version and so naturally invalidated every
-//!    older entry.
+//!    [`ppr_query::QueryIdentity`] and the **read-set fingerprint**
+//!    ([`DbSnapshot::read_set_fingerprint`], the content hash of just
+//!    the relations the atoms name) once for both caches.
+//! 4. **Result cache** — a hit on `(read-set fingerprint, query
+//!    fingerprint, method, seed)` returns the cached rows with **zero
+//!    execution**. A write to a relation the query reads changes the
+//!    read-set fingerprint, so the next request computes a fresh key and
+//!    the stale entry ages out of the LRU; a write anywhere else leaves
+//!    the key, and the entry, valid.
 //! 5. **Plan cache / plan** — on a result miss, a plan-cache hit returns
 //!    the shared `Arc<Plan>`; a miss builds the plan and publishes it.
-//!    The plan key carries the same `(db, version)` prefix, because plans
-//!    embed `Arc<Relation>` scans of the snapshot they were built on.
+//!    The plan key is the same: a plan embeds `Arc<Relation>` scans of
+//!    exactly the relations it reads, and under an equal read-set
+//!    fingerprint those hold the same tuples as the current snapshot's.
 //! 6. **Execute + publish** — the streaming executor
 //!    ([`exec::execute_with`]) under the request budget clamped by the
 //!    server maximum; a successful result is offered to the result cache
@@ -931,6 +936,9 @@ fn process(
     let seed = request.seed.unwrap_or(shared.default_seed);
     let started = Instant::now();
     let identity = QueryIdentity::of(&query);
+    // The answer and the plan depend only on the relations the atoms
+    // name, so a write elsewhere in the database keeps this key.
+    let data = snapshot.read_set_fingerprint(query.atoms.iter().map(|a| a.relation.as_str()));
     spans.set(Phase::Fingerprint, started.elapsed().as_micros() as u64);
     *slow_id = Some(SlowIdentity {
         db: db_name.to_string(),
@@ -949,7 +957,7 @@ fn process(
     // is deliberately not part of the key — budgets bound execution work,
     // and a hit does none. The plan cache below shares the key.
     let key = CacheKey {
-        data: snapshot.fingerprint,
+        data,
         fingerprint: identity.fingerprint,
         method: request.method,
         seed,
@@ -963,6 +971,9 @@ fn process(
     let mut lookup_us = started.elapsed().as_micros() as u64;
     spans.set(Phase::CacheLookup, lookup_us);
     if let Some(cached) = cached {
+        if cached.version < snapshot.version {
+            shared.obs.result_cache_retained_hits.inc();
+        }
         return Ok(Response {
             columns: cached.columns.clone(),
             rows: cached.rows.clone(),
@@ -1109,6 +1120,7 @@ fn process(
             columns: columns.clone(),
             rows: rows.clone(),
             stats: stats.clone(),
+            version: snapshot.version,
         });
         let bytes = result.approx_bytes();
         shared.results.insert(key, identity.shape, result, bytes);
@@ -1245,8 +1257,8 @@ mod tests {
         let stats = h.stats();
         assert_eq!(stats.decomp_cache_hits, 0, "cold request decomposes");
         assert_eq!(stats.passes_run, 2, "bucket recipe = decompose + build");
-        // A mutation bumps the content fingerprint: every cached plan is
-        // stale (plans embed snapshot scans)…
+        // A write to `edge` changes the query's read-set fingerprint: its
+        // cached plan is stale (plans embed snapshot scans)…
         h.catalog()
             .add(DEFAULT_DB, "edge", vec![4, 5].into())
             .unwrap();
@@ -1348,11 +1360,77 @@ mod tests {
             .add(DEFAULT_DB, "edge", vec![5, 4].into())
             .unwrap();
         let fresh = h.execute(req()).unwrap();
-        assert!(!fresh.result_cache_hit, "version bump must invalidate");
+        assert!(!fresh.result_cache_hit, "a write to `edge` must invalidate");
         assert!(!fresh.cache_hit, "plans embed scans, so they re-plan too");
         assert!(fresh.rows.len() > cold.rows.len(), "new data must show up");
         assert!(h.execute(req()).unwrap().result_cache_hit, "then re-caches");
         engine.shutdown();
+    }
+
+    /// `edge` as 3-COLOR's disequality relation beside a `succ` chain no
+    /// 3-COLOR query reads.
+    fn color_and_chain_catalog() -> Catalog {
+        let mut db = Database::new();
+        db.add(ppr_workload::edge_relation(3));
+        db.add(ppr_relalg::Relation::from_distinct_rows(
+            "succ",
+            ppr_relalg::Schema::new(vec![ppr_relalg::AttrId(90), ppr_relalg::AttrId(91)]),
+            (0..50).map(|i| vec![i, i + 1].into_boxed_slice()).collect(),
+        ));
+        Catalog::with_default(db)
+    }
+
+    #[test]
+    fn writes_to_unread_relations_keep_both_caches() {
+        let query = "q(x, y) :- edge(x, y), edge(y, x)";
+        let method = Method::EarlyProjection;
+        for (cfg, results_on) in [(small_cfg(), true), (plan_only_cfg(), false)] {
+            let engine = Engine::start(color_and_chain_catalog(), cfg);
+            let h = engine.handle();
+            let run = || h.execute(Request::new(query, method)).unwrap();
+            let cold = run();
+            assert!(!cold.cache_hit && !cold.result_cache_hit);
+            // An add to `succ`, a new relation, and a `load` replacing
+            // `succ`: none of them is read, so both caches keep hitting.
+            let catalog = h.catalog();
+            catalog
+                .add(DEFAULT_DB, "succ", vec![50, 51].into())
+                .unwrap();
+            let after_add = run();
+            catalog.add(DEFAULT_DB, "fresh", vec![1].into()).unwrap();
+            catalog
+                .load(DEFAULT_DB, "succ", vec![vec![7, 7].into()])
+                .unwrap();
+            let after_load = run();
+            for warm in [&after_add, &after_load] {
+                assert!(warm.cache_hit, "the plan survives unread writes");
+                assert_eq!(warm.result_cache_hit, results_on);
+                assert_eq!(warm.rows, cold.rows);
+            }
+            // An add to `edge`, which the query reads, misses both and
+            // answers from the new snapshot.
+            catalog.add(DEFAULT_DB, "edge", vec![4, 5].into()).unwrap();
+            catalog.add(DEFAULT_DB, "edge", vec![5, 4].into()).unwrap();
+            let fresh = run();
+            assert!(!fresh.cache_hit && !fresh.result_cache_hit);
+            let snap = catalog.snapshot(DEFAULT_DB).unwrap();
+            let parsed = ppr_query::parse_query(query).unwrap();
+            let plan = ppr_core::methods::build_plan(
+                method,
+                &parsed,
+                &snap.db,
+                &mut StdRng::seed_from_u64(0),
+            );
+            let (expected, _) = exec::execute(&plan, &Budget::unlimited()).unwrap();
+            assert_eq!(fresh.rows, expected.tuples().to_vec());
+            assert!(fresh.rows.len() > cold.rows.len(), "new data shows up");
+            let retained = format!(
+                "ppr_result_cache_retained_hits_total {}\n",
+                if results_on { 2 } else { 0 }
+            );
+            assert!(h.render_prometheus().contains(&retained), "{retained}");
+            engine.shutdown();
+        }
     }
 
     #[test]

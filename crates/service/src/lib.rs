@@ -19,14 +19,16 @@
 //!   of the 1-WL [`ppr_query::Fingerprint`] costs a recomputation, never
 //!   a wrong answer.
 //!   - [`result_cache::ResultCache`]: complete result sets, byte-budgeted,
-//!     keyed by [`cache::CacheKey`] (database content fingerprint × query
-//!     fingerprint × method × seed). A content-changing mutation changes
-//!     the key, so no explicit invalidation exists or is needed.
+//!     keyed by [`cache::CacheKey`] (content fingerprint of the relations
+//!     the query reads × query fingerprint × method × seed). A mutation
+//!     that changes one of those relations changes the key, so no
+//!     explicit invalidation exists or is needed, and writes to other
+//!     relations leave the entry valid.
 //!   - [`cache::PlanCache`]: compiled [`ppr_relalg::Plan`]s under the same
 //!     key. The fingerprint is canonical under variable renaming and atom
 //!     reordering, so syntactic variants of a hot query share one plan.
 //!   - [`decomp::DecompCache`]: bucket elimination's chosen variable
-//!     orders, keyed **without** the database identity: a mutation forces
+//!     orders, keyed **without** the database identity: a write forces
 //!     a re-plan, but a structurally repeated query skips
 //!     re-decomposition because the optimizer pipeline
 //!     ([`ppr_core::passes`], docs/PLANNING.md) consumes the cached order

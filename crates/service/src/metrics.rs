@@ -57,6 +57,10 @@ pub struct ServiceMetrics {
     /// because the structure-keyed [`crate::DecompCache`] supplied the
     /// variable order as a pass hint.
     pub decomp_hits: Arc<Counter>,
+    /// `ppr_result_cache_retained_hits_total` — result-cache hits served
+    /// at a later catalog version than the entry was computed at: writes
+    /// the read-set cache key left valid.
+    pub result_cache_retained_hits: Arc<Counter>,
     /// `ppr_catalog_add_us` — wall time of each `Catalog::add` behind
     /// the `add` verb, recorded by the connection layer around the call
     /// (success or refusal), under both connection backends.
@@ -137,6 +141,10 @@ impl ServiceMetrics {
                 "ppr_decomp_cache_hits_total",
                 "Bucket decompositions skipped via the structure-keyed order cache",
             ),
+            result_cache_retained_hits: registry.counter(
+                "ppr_result_cache_retained_hits_total",
+                "Result-cache hits served at a later catalog version than the entry was computed at",
+            ),
             catalog_add_us: registry.histogram(
                 "ppr_catalog_add_us",
                 "Catalog add latency in microseconds (the add verb's write path)",
@@ -212,6 +220,7 @@ mod tests {
             "ppr_index_builds_total",
             "ppr_passes_run_total",
             "ppr_decomp_cache_hits_total",
+            "ppr_result_cache_retained_hits_total",
             "ppr_catalog_add_us",
             "ppr_op_rows_total",
             "ppr_op_time_us",

@@ -2,19 +2,19 @@
 //!
 //! The plan cache amortizes *planning*; this cache amortizes *execution*.
 //! It is the serving-side analogue of reusing decompositions across
-//! isomorphic instances: the key is
-//! `(DbFingerprint, Fingerprint, Method, seed)` — a *content hash* of
-//! the database crossed with the canonical query identity — so a
-//! repeated query — under any variable renaming or atom reordering,
-//! against the same database or any content-identical one (another name,
-//! another load order, a recovered post-crash catalog) — returns its
-//! rows without touching the executor, and **any content-changing
-//! mutation invalidates naturally**: a `load`/`add` that changes the data
-//! changes the fingerprint, the next request computes a key nobody has
-//! written, and the stale entry simply ages out of the LRU. There is no
-//! purge logic to get wrong — and nothing to *wrongly* purge: a restart
-//! or a no-op mutation keeps the fingerprint, so warm entries survive
-//! both.
+//! isomorphic instances: the key ([`CacheKey`]) is the content hash of
+//! the relations the query reads, crossed with the canonical query
+//! identity, method and seed. So a repeated query — under any variable
+//! renaming or atom reordering, against the same database or any whose
+//! read relations hold the same tuples (another name, another load
+//! order, a recovered post-crash catalog) — returns its rows without
+//! touching the executor. **A mutation of a relation the query reads
+//! invalidates naturally**: it changes the read-set hash, the next
+//! request computes a key nobody has written, and the stale entry ages
+//! out of the LRU. There is no purge logic to get wrong — and nothing to
+//! *wrongly* purge: a restart, a no-op mutation, or a write to a relation
+//! the query does not read keeps the key, so warm entries survive all
+//! three.
 //!
 //! Results (unlike plans) have data-dependent size, so each entry
 //! weighs its [`CachedResult::approx_bytes`] and the [`Lru`] capacity is
@@ -31,6 +31,7 @@ use std::sync::Arc;
 use ppr_relalg::{ExecStats, Value};
 
 use crate::cache::CacheKey;
+use crate::catalog::DbVersion;
 use crate::lru::Lru;
 
 /// The cached outcome of one successful evaluation.
@@ -44,6 +45,10 @@ pub struct CachedResult {
     pub rows: Vec<Box<[Value]>>,
     /// Stats of the execution that originally produced the rows.
     pub stats: ExecStats,
+    /// The catalog version the rows were computed at. A hit at a later
+    /// version is a write the read-set key left valid
+    /// (`ppr_result_cache_retained_hits_total`).
+    pub version: DbVersion,
 }
 
 impl CachedResult {
@@ -92,6 +97,7 @@ mod tests {
                 .map(|i| vec![i, i].into_boxed_slice())
                 .collect(),
             stats: ExecStats::default(),
+            version: DbVersion(1),
         })
     }
 

@@ -204,13 +204,16 @@ const CHAIN: u32 = 4090;
 /// method's wire answer equals library evaluation on the catalog's
 /// current snapshot, and no reply rebuilt an index — the adds extended
 /// the warm `succ` and `mark` indexes instead of dropping them, across
-/// the hashed-to-sorted switch. Runs under both connection backends,
-/// which also both record the `ppr_catalog_add_us` histogram.
+/// the hashed-to-sorted switch. A 3-COLOR query over `edge`, which the
+/// adds never touch, keeps hitting the result cache through them. Runs
+/// under both connection backends, which also both record the
+/// `ppr_catalog_add_us` histogram.
 #[test]
 fn wire_matches_eval_through_writes() {
     // The path reaches a `mark` tuple only once the adds have grown the
     // chain that far, so the answers change along the way.
     const PATH: &str = "q(a0, a1) :- succ(a0, a1), succ(a1, a2), mark(a2)";
+    const TRIANGLE: &str = "q(x, y) :- edge(x, y), edge(y, z), edge(z, x)";
     const ADDS: u32 = 12;
     for model in [
         service::ConnectionModel::EventLoop,
@@ -232,6 +235,7 @@ fn wire_matches_eval_through_writes() {
                 vec![CHAIN + 9].into_boxed_slice(),
             ],
         ));
+        db.add(edge_relation(3));
         let engine = Engine::start(Catalog::with_default(db), EngineConfig::default());
         let mut server = service::Server::builder()
             .addr("127.0.0.1:0")
@@ -241,6 +245,7 @@ fn wire_matches_eval_through_writes() {
             .expect("ephemeral bind");
         let mut client = Client::connect(server.local_addr()).expect("connect");
         let query = parse_query(PATH).unwrap();
+        let triangle = parse_query(TRIANGLE).unwrap();
         let catalog = engine.handle().catalog();
         // Warm-up: every method builds the indexes it probes.
         let warm_builds: u64 = all_methods()
@@ -284,13 +289,29 @@ fn wire_matches_eval_through_writes() {
                 );
                 answers.insert(response.rows.len());
             }
+            // The triangle reads only `edge`, so its read-set key is the
+            // same every round: one miss, then hits through the adds.
+            let method = Method::EarlyProjection;
+            let colored = client.run(&Request::new(TRIANGLE, method)).unwrap();
+            assert_eq!(colored.result_cache_hit, k > 0, "{model:?}, add {k}");
+            let (expected, _) = Eval::new(&triangle, &snap.db).method(method).run().unwrap();
+            assert_eq!(
+                colored.rows,
+                expected.tuples().to_vec(),
+                "{model:?}, add {k}"
+            );
         }
         assert!(answers.len() > 1, "the adds changed the answers");
+        let metrics = engine.handle().render_prometheus();
         assert!(
-            engine
-                .handle()
-                .render_prometheus()
-                .contains(&format!("ppr_catalog_add_us_count {ADDS}\n")),
+            metrics.contains(&format!(
+                "ppr_result_cache_retained_hits_total {}\n",
+                ADDS - 1
+            )),
+            "{model:?}: every triangle hit outlived an add"
+        );
+        assert!(
+            metrics.contains(&format!("ppr_catalog_add_us_count {ADDS}\n")),
             "{model:?}: every add is timed"
         );
         server.shutdown();
